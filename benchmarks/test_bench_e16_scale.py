@@ -16,7 +16,6 @@ COLUMNS = [
     "devices",
     "shards",
     "replicas",
-    "mode",
     "seed (s)",
     "p50 lookup (µs)",
     "p95 lookup (µs)",
@@ -51,8 +50,8 @@ def test_e16_live_sweep_shape_and_flatness():
     assert by_pop[1_000][1:3] == [1, 1]  # below threshold: plain path
     assert by_pop[50_000][1:3] == [2, 2]  # proportional shards, R=2
     for row in table["rows"]:
-        assert row[7] <= 4, f"lookup cost {row[7]} messages at {row[0]} devices"
-        assert row[8] <= 4
+        assert row[6] <= 4, f"lookup cost {row[6]} messages at {row[0]} devices"
+        assert row[7] <= 4
     assert table["meta"]["flat_within_2x"] is True
     assert table["meta"]["flat_pair"] == [1_000, 50_000]
 
@@ -69,18 +68,16 @@ def test_e16_committed_artifact():
     assert devices == sorted(devices), "device-count rows must be monotone"
     assert {1_000, 10_000, 100_000} <= set(devices)
     by_pop = {row[0]: row for row in rows}
-    # Shards scale with population; the 1M row (when present) runs on
-    # the fast transport path.
+    # Shards scale with population.
     assert by_pop[1_000][1] == 1 and by_pop[100_000][1] > 1
     if 1_000_000 in by_pop:
-        assert by_pop[1_000_000][3] == "fast"
         assert by_pop[1_000_000][1] >= by_pop[100_000][1]
     # Flat latency: p50 at 100k within 2x of the 1k row.
-    assert by_pop[100_000][5] <= 2 * by_pop[1_000][5], (
-        f"p50 at 100k devices ({by_pop[100_000][5]}µs) exceeds 2x the 1k row "
-        f"({by_pop[1_000][5]}µs) — lookup latency is no longer flat"
+    assert by_pop[100_000][4] <= 2 * by_pop[1_000][4], (
+        f"p50 at 100k devices ({by_pop[100_000][4]}µs) exceeds 2x the 1k row "
+        f"({by_pop[1_000][4]}µs) — lookup latency is no longer flat"
     )
     assert payload["meta"]["flat_within_2x"] is True
     # Every row is a single-shard conversation on the wire.
     for row in rows:
-        assert row[7] <= 4 and row[8] <= 4
+        assert row[6] <= 4 and row[7] <= 4

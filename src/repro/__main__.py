@@ -94,7 +94,6 @@ def chaos_main(args: argparse.Namespace) -> int:
         schedule_json=args.schedule,
         tracing=not args.no_tracing,
         trace_dir=args.trace_dir,
-        fast=args.fast,
         directory_shards=args.directory_shards,
         directory_replicas=args.directory_replicas,
         health=not args.no_health,
@@ -354,10 +353,6 @@ def main(argv: list[str] | None = None) -> int:
     chaos.add_argument("--trace-dir", type=str, default=None,
                        help="export failing episodes' Perfetto timelines "
                             "into this directory")
-    chaos.add_argument("--fast", action="store_true",
-                       help="bind the transport's fast path in episode "
-                            "worlds (wall-clock only; outcomes and episode "
-                            "logs are byte-identical)")
 
     obs = sub.add_parser(
         "obs", help="trace a scenario (or replay a chaos episode) and "

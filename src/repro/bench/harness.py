@@ -45,10 +45,9 @@ def _resource_world(
     seed: int = 1,
     tracing: bool = True,
     trace_sample: int = 1,
-    fast: bool = False,
 ) -> tuple[SyDWorld, list[str]]:
     """World with n resource-service users, one free entity 'slot'."""
-    world = SyDWorld(seed=seed, tracing=tracing, trace_sample=trace_sample, fast=fast)
+    world = SyDWorld(seed=seed, tracing=tracing, trace_sample=trace_sample)
     users = [f"u{i:03d}" for i in range(n_users)]
     for user in users:
         node = world.add_node(user)
@@ -986,9 +985,10 @@ def exp_e15_throughput(
     chaos_ops: int = 15,
     seed: int = 7,
 ) -> dict[str, Any]:
-    """E15 — raw simulation throughput: the fast path's messages/sec gate.
+    """E15 — raw simulation throughput: the transport's messages/sec gate.
 
-    Four workloads, each run three ways:
+    Four workloads, each run with tracing off (``default``) and on
+    (``tracing on``):
 
     * ``rpc``            — raw transport round trips, two server nodes,
       ``ConstantLatency``: the purest hot-path measurement.
@@ -997,19 +997,10 @@ def exp_e15_throughput(
     * ``engine (E14 micro)`` — the same two-node engine workload E14
       measures; its **default** row is the E14 tracing-off baseline the
       ROADMAP's ≥10× success metric is measured against.
-    * ``chaos replay``   — one seeded chaos episode end to end: the
-      honest row, since active faults force the fast bindings onto the
-      default path for the affected stretches.
+    * ``chaos replay``   — one seeded chaos episode end to end.
 
-    Modes: ``fast`` (``fast=True``, tracing off), ``default`` (tracing
-    off), ``tracing on``. The regression gate is behavioral: within a
-    workload the ``messages`` column must be identical between fast and
-    default — fast mode may change wall-clock only, never virtual time,
-    wire bytes, or ordering (``meta.fast_default_counts_equal``; the
-    equivalence suite in tests/net/test_fast_mode.py checks the stronger
-    byte-level property). ``meta.vs_e14_baseline_x`` records the
-    headline metric: fast raw-rpc messages/sec over the E14-baseline
-    engine default.
+    ``meta.vs_e14_baseline_x`` records the headline metric: default
+    raw-rpc messages/sec over the E14-baseline engine default.
     """
     from repro.chaos.campaign import ChaosCampaign, ChaosConfig
     from repro.net.address import DeviceClass, NodeAddress
@@ -1018,29 +1009,27 @@ def exp_e15_throughput(
     from repro.util.clock import VirtualClock
     from repro.util.trace import Tracer
 
-    def raw_transport(fast: bool, tracing: bool) -> Transport:
+    def raw_transport(tracing: bool) -> Transport:
         clock = VirtualClock()
         tracer = Tracer(clock)
         tracer.enabled = tracing
-        transport = Transport(
-            clock=clock, latency=ConstantLatency(0.001), tracer=tracer, fast=fast
-        )
+        transport = Transport(clock=clock, latency=ConstantLatency(0.001), tracer=tracer)
         for i in range(batch_size + 1):
             transport.register(
                 NodeAddress(f"n{i:03d}", DeviceClass.SERVER), lambda m: {"ok": 1}
             )
         return transport
 
-    def run_rpc(fast: bool, tracing: bool) -> tuple[int, float]:
-        transport = raw_transport(fast, tracing)
+    def run_rpc(tracing: bool) -> tuple[int, float]:
+        transport = raw_transport(tracing)
         t0 = time.perf_counter()
         for _ in range(rpc_calls):
             transport.rpc("n000", "n001", "read", {"k": "slot"})
         wall = time.perf_counter() - t0
         return transport.stats.messages, wall
 
-    def run_rpc_many(fast: bool, tracing: bool) -> tuple[int, float]:
-        transport = raw_transport(fast, tracing)
+    def run_rpc_many(tracing: bool) -> tuple[int, float]:
+        transport = raw_transport(tracing)
         legs = [(f"n{i + 1:03d}", "read", {"k": "slot"}) for i in range(batch_size)]
         t0 = time.perf_counter()
         for _ in range(batches):
@@ -1048,8 +1037,8 @@ def exp_e15_throughput(
         wall = time.perf_counter() - t0
         return transport.stats.messages, wall
 
-    def run_engine(fast: bool, tracing: bool) -> tuple[int, float]:
-        world, users = _resource_world(2, seed, tracing=tracing, fast=fast)
+    def run_engine(tracing: bool) -> tuple[int, float]:
+        world, users = _resource_world(2, seed, tracing=tracing)
         node = world.node(users[0])
         t0 = time.perf_counter()
         for _ in range(engine_calls):
@@ -1057,7 +1046,7 @@ def exp_e15_throughput(
         wall = time.perf_counter() - t0
         return world.transport.stats.messages, wall
 
-    def run_chaos(fast: bool, tracing: bool) -> tuple[int, float]:
+    def run_chaos(tracing: bool) -> tuple[int, float]:
         cfg = ChaosConfig(
             seed=seed,
             episodes=1,
@@ -1066,7 +1055,6 @@ def exp_e15_throughput(
             duration=60.0,
             shrink=False,
             tracing=tracing,
-            fast=fast,
         )
         t0 = time.perf_counter()
         episode = ChaosCampaign(cfg).run_episode(0, quiet=True)
@@ -1079,17 +1067,14 @@ def exp_e15_throughput(
         ("engine (E14 micro)", run_engine),
         ("chaos replay", run_chaos),
     ]
-    modes = [("fast", True, False), ("default", False, False), ("tracing on", False, True)]
+    modes = [("default", False), ("tracing on", True)]
     rows: list[list[Any]] = []
     rates: dict[tuple[str, str], float] = {}
-    counts_equal = True
     for wname, fn in workloads:
-        counts: dict[str, int] = {}
-        for mname, fast, tracing in modes:
-            msgs, wall = fn(fast, tracing)
+        for mname, tracing in modes:
+            msgs, wall = fn(tracing)
             rate = msgs / wall if wall > 0 else 0.0
             rates[(wname, mname)] = rate
-            counts[mname] = msgs
             rows.append(
                 [
                     wname,
@@ -1100,8 +1085,6 @@ def exp_e15_throughput(
                     round(wall / msgs * 1e6, 2) if msgs else 0.0,
                 ]
             )
-        if counts["fast"] != counts["default"]:
-            counts_equal = False
     baseline = rates[("engine (E14 micro)", "default")]
     return {
         "id": "E15",
@@ -1110,13 +1093,7 @@ def exp_e15_throughput(
         "rows": rows,
         "artifact": "BENCH_throughput.json",
         "meta": {
-            "fast_default_counts_equal": counts_equal,
-            "speedup_fast_vs_default": {
-                wname: round(rates[(wname, "fast")] / rates[(wname, "default")], 2)
-                for wname, _ in workloads
-                if rates[(wname, "default")]
-            },
-            "vs_e14_baseline_x": round(rates[("rpc", "fast")] / baseline, 1)
+            "vs_e14_baseline_x": round(rates[("rpc", "default")] / baseline, 1)
             if baseline
             else None,
         },
@@ -1150,9 +1127,8 @@ def exp_e16_scale(
     stays within 2× of the 1k row — consistent hashing makes each
     lookup a single-shard conversation, so latency tracks shard-local
     store size (O(1) hash index), not population. The ``big_population``
-    row (1M devices, 40 shards) runs on the fast transport path
-    (DESIGN.md §5.11) and is excluded from the committed-artifact gate's
-    flatness pair; set it to 0 to skip (the fast sweep does).
+    row (1M devices, 40 shards) joins the flatness pair as its high end;
+    set it to 0 to skip (the reduced ``--fast`` sweep does).
     """
     import statistics
 
@@ -1183,14 +1159,13 @@ def exp_e16_scale(
                 )
         return time.perf_counter() - t0
 
-    def run_row(population: int, fast: bool) -> list[Any]:
+    def run_row(population: int) -> list[Any]:
         shards = max(1, min(40, population // per_shard))
         replicas = 2 if shards > 1 else 1
         world = SyDWorld(
             seed=seed,
             latency="zero",
             tracing=False,
-            fast=fast,
             directory_shards=shards,
             directory_replicas=replicas,
         )
@@ -1216,7 +1191,6 @@ def exp_e16_scale(
             population,
             shards,
             replicas,
-            "fast" if fast else "default",
             round(seed_s, 2),
             round(statistics.median(samples), 1),
             round(statistics.quantiles(samples, n=20)[18], 1),
@@ -1224,14 +1198,14 @@ def exp_e16_scale(
             round(batch_msgs_per_key, 2),
         ]
 
-    rows = [run_row(p, fast=False) for p in sorted(populations)]
+    rows = [run_row(p) for p in sorted(populations)]
     if big_population:
-        rows.append(run_row(big_population, fast=True))
+        rows.append(run_row(big_population))
 
     by_pop = {row[0]: row for row in rows}
-    p50_index = 5
+    p50_index = 4
     lo = min(by_pop)
-    hi = max(p for p in by_pop if by_pop[p][3] == "default")
+    hi = max(by_pop)
     flat = by_pop[hi][p50_index] <= 2 * by_pop[lo][p50_index]
     return {
         "id": "E16",
@@ -1240,7 +1214,6 @@ def exp_e16_scale(
             "devices",
             "shards",
             "replicas",
-            "mode",
             "seed (s)",
             "p50 lookup (µs)",
             "p95 lookup (µs)",

@@ -72,11 +72,6 @@ class ChaosConfig:
     #: directory to write failing episodes' Perfetto timelines into
     #: (None = no export); requires ``tracing``
     trace_dir: str | None = None
-    #: bind the transport's fast path in episode worlds (DESIGN.md §5.11).
-    #: Never affects outcomes — episode logs are byte-identical either
-    #: way (the CI perf-smoke job diffs them) — so it is *not* part of
-    #: the episode log header, only of the repro command.
-    fast: bool = False
     #: directory shard count (1 = the single-node directory; episode
     #: worlds and logs are then byte-identical to pre-sharding builds)
     directory_shards: int = 1
@@ -579,7 +574,6 @@ class ChaosCampaign:
             dedup=cfg.dedup,
             recovery=cfg.recovery,
             tracing=cfg.tracing,
-            fast=cfg.fast,
             directory_shards=cfg.directory_shards,
             directory_replicas=cfg.directory_replicas,
             health=cfg.health,
@@ -762,7 +756,6 @@ class ChaosCampaign:
             + ("" if cfg.health else " --no-health")
             + ("" if cfg.hedge else " --no-hedge")
             + ("" if cfg.tracing else " --no-tracing")
-            + (" --fast" if cfg.fast else "")
             + (
                 f" --directory-shards {cfg.directory_shards}"
                 f" --directory-replicas {cfg.directory_replicas}"

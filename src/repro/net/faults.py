@@ -41,10 +41,10 @@ class FaultPlan:
     def active(self) -> bool:
         """True when *anything* is currently broken.
 
-        The transport's fast path checks this once per call: a default
+        The transport checks this once per message leg: a default
         (inert) fault plan means every registered pair is reachable and
-        no drop/duplicate/gray rule can match, so the per-message
-        reachability walk can be skipped wholesale. Cheap by
+        no drop/gray rule can match, so the reachability and drop
+        probes and the gray-delay draws are skipped wholesale. Cheap by
         construction — truthiness checks on the underlying containers.
         """
         return bool(

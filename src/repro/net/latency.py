@@ -27,24 +27,11 @@ class LatencyModel(ABC):
     def delay(self, src: NodeAddress, dst: NodeAddress, message: Message) -> float:
         """One-way delay in simulated seconds (must be >= 0)."""
 
-    def flat_delay(self) -> float | None:
-        """The constant delay this model always returns, if it has one.
-
-        Endpoint-, size- and draw-independent models return their
-        constant here so the transport's fast path can skip the
-        ``delay()`` call (and the address lookups feeding it) entirely.
-        Everything else returns None and is consulted per message.
-        """
-        return None
-
 
 class ZeroLatency(LatencyModel):
     """No delay at all — for logic-only unit tests."""
 
     def delay(self, src: NodeAddress, dst: NodeAddress, message: Message) -> float:
-        return 0.0
-
-    def flat_delay(self) -> float | None:
         return 0.0
 
 
@@ -57,9 +44,6 @@ class ConstantLatency(LatencyModel):
         self.seconds = seconds
 
     def delay(self, src: NodeAddress, dst: NodeAddress, message: Message) -> float:
-        return self.seconds
-
-    def flat_delay(self) -> float | None:
         return self.seconds
 
 

@@ -16,6 +16,15 @@ leg's delay is still individually charged to :class:`NetworkStats`.
 Per-leg failures come back as :class:`RpcOutcome` records instead of
 aborting the whole batch.
 
+One code path: every traffic method is built on a single per-leg core,
+:meth:`Transport._leg` — deliver the request, give up at the deadline,
+run the handler, marshal its error, account the reply and carve out the
+stall. ``rpc`` is one leg plus a clock advance, ``rpc_many`` is N legs
+plus one max advance, ``rpc_hedged`` is a two-leg race and ``send`` is a
+leg without a reply. With an inert fault plan the per-message fault
+probes are skipped (see :attr:`FaultPlan.active`); with tracing off no
+span or trace-context work is done.
+
 Failure semantics (``rpc``; per leg for ``rpc_many``):
 
 * destination down / partitioned → :class:`UnreachableError`
@@ -37,16 +46,6 @@ sequence without cross-receiver gaps. Retrying callers allocate the key
 once (:meth:`next_dedup` / :meth:`stamp_calls`) and pass it with every
 attempt. :meth:`bump_incarnation` fences a restarted sender: its old
 keys become stale and its sequence numbering restarts.
-
-Fast path (DESIGN.md §5.11): ``Transport(fast=True)`` rebinds
-``rpc``/``rpc_many``/``send`` at construction to allocation-lean
-implementations that engage whenever tracing is off and the fault plan
-is inert — no span context managers, no per-call trace-context probes,
-lazy message ids, and a single constant-latency lookup when the model
-admits one. The fast implementations fall back to the default ones the
-moment tracing is enabled or any fault is active, so fast mode can only
-ever change wall-clock time: virtual time, wire bytes, stats and
-ordering are byte-identical by construction.
 """
 
 from __future__ import annotations
@@ -108,16 +107,27 @@ class RpcOutcome:
     delay: float = 0.0
 
 
+#: What one request/reply leg produced (see :meth:`Transport._leg`):
+#: ``(outcome, value, error, request, reply, wait, stall)``. ``outcome`` is
+#: ``"ok"``, ``"remote_error"`` (the handler raised; ``error`` is the
+#: marshalled exception, or the loss error if its reply was lost too),
+#: ``"reply_lost"`` (the handler succeeded but the reply never arrived),
+#: ``"deadline"`` (the caller stopped waiting) or ``"undeliverable"`` (the
+#: request never arrived). ``value`` is the handler's result on ``"ok"``.
+#: ``request`` and ``reply`` are the wire delays of the two messages
+#: (``reply`` is None when no reply arrived), ``wait`` is how long the
+#: caller waited for the leg, capped at the deadline, and ``stall`` is the
+#: stalled-destination share of the reply delay. A plain tuple: one is
+#: built per leg on the hottest path.
+_Leg = tuple[str, "dict[str, Any] | None", "Exception | None", float, "float | None", float, float]
+
+
 class Transport:
     """The one shared network object of a simulated world.
 
     Nodes register a handler under their address; peers call
     :meth:`rpc` / :meth:`send`. The transport owns clock advancement for
     network delays and all traffic accounting.
-
-    ``fast=True`` binds the allocation-lean implementations of the
-    traffic methods at construction (see the module docstring); the
-    default binding keeps the fully-instrumented path.
     """
 
     def __init__(
@@ -128,7 +138,6 @@ class Transport:
         stats: NetworkStats | None = None,
         stamp_dedup: bool = True,
         tracer: Tracer | None = None,
-        fast: bool = False,
     ):
         self.clock = clock or VirtualClock()
         self.latency = latency or ConstantLatency(0.001)
@@ -158,25 +167,8 @@ class Transport:
         #: transport piggybacks RPC outcomes into it — every successful
         #: round trip is a sign of life with a network-only RTT sample,
         #: every request-leg failure and deadline overrun is evidence
-        #: against the destination. Fed identically by the default and
-        #: fast paths so suspicion trajectories never depend on the mode.
+        #: against the destination.
         self.health = None
-        #: fast mode: the cheap implementations are bound once, here, so
-        #: the hot path carries no per-call mode branch of its own
-        self.fast = fast
-        #: the latency model's endpoint-independent constant, probed once —
-        #: None means the model must be consulted per message
-        self._flat_delay = self.latency.flat_delay()
-        #: stall component of the most recent reply leg accounted by
-        #: :meth:`_account_reply` — callers holding the rpc span read it
-        #: right after accounting to stamp a ``stall`` attribute, so
-        #: latency attribution can carve the stalled-destination share
-        #: out of wire transit (repro.obs.critical).
-        self._last_reply_stall = 0.0
-        if fast:
-            self.rpc = self._rpc_fast  # type: ignore[method-assign]
-            self.rpc_many = self._rpc_many_fast  # type: ignore[method-assign]
-            self.send = self._send_fast  # type: ignore[method-assign]
 
     # -- registration ------------------------------------------------------
 
@@ -265,14 +257,16 @@ class Transport:
 
         The one reachability/drop sequence shared by first deliveries
         (:meth:`_deliver`, which raises and counts) and redeliveries
-        (:meth:`redeliver`, which silently gives up) — a fix or a
-        fast-mode optimization to either applies to both.
+        (:meth:`redeliver`, which silently gives up).
         """
         if msg.dst not in self._handlers:
             return UnreachableError(f"node {msg.dst!r} is not attached to the network")
-        if not self.faults.reachable(msg.src, msg.dst):
+        faults = self.faults
+        if not faults.active:
+            return None  # an inert plan reaches every node and drops nothing
+        if not faults.reachable(msg.src, msg.dst):
             return UnreachableError(f"node {msg.dst!r} is unreachable from {msg.src!r}")
-        if self.faults.should_drop(msg):
+        if faults.should_drop(msg):
             return MessageDropped(f"message {msg.msg_id} ({msg.kind}) dropped by fault rule")
         return None
 
@@ -281,8 +275,7 @@ class Transport:
         delay = self.latency.delay(self._addresses[msg.src], self._addresses[msg.dst], msg)
         if self.faults.active:
             # Gray inflation: slow-node / degraded-link rules add seeded
-            # extra delay on top of the latency model. Zero-cost when no
-            # gray rule exists (empty-dict lookups).
+            # extra delay on top of the latency model.
             delay += self.faults.gray_delay(msg.src, msg.dst)
         if advance:
             self.clock.advance(delay)
@@ -294,9 +287,8 @@ class Transport:
     def _deliver(self, msg: Message, advance: bool = True) -> float:
         """Account one message leg (or raise); returns its delay.
 
-        With ``advance`` the clock moves immediately (the sequential
-        ``rpc``/``send`` path); batched legs pass ``advance=False`` and
-        let :meth:`rpc_many` advance once by the batch maximum.
+        With ``advance`` the clock moves before the leg is accounted
+        (taps observe the arrival time); otherwise the caller moves it.
         """
         if msg.src not in self._addresses:
             raise UnreachableError(f"source node {msg.src!r} not attached")
@@ -308,6 +300,124 @@ class Transport:
                 self.stats.record_unreachable()
             raise failure
         return self._account_delivery(msg, advance)
+
+    # -- the leg core ------------------------------------------------------
+
+    def _leg(
+        self,
+        msg: Message,
+        sequential: bool,
+        deadline: float | None = None,
+        start: float = 0.0,
+        error_overrun_fails: bool = True,
+        reply: bool = True,
+    ) -> _Leg:
+        """Carry one request (and its reply); never raises for leg failures.
+
+        The single primitive under every traffic method: deliver the
+        request or fail it, give up on it at ``deadline`` before the
+        handler runs, invoke the handler, marshal its error (typed
+        library errors keep their type, anything else becomes
+        :class:`RemoteError`), fire a fault-rule duplicate, account the
+        reply (a lost reply takes precedence over the remote error) with
+        its stall carved out, and feed the health detector.
+
+        ``sequential`` legs (``rpc``, ``send``) move the shared clock as
+        each message lands: the handler observes the request's arrival
+        time, and the deadline is checked against the live clock, so
+        nested traffic the handler causes spends the same budget.
+        Concurrent legs (``rpc_many``, ``rpc_hedged``) leave the clock to
+        their caller: the handler runs at the call's start time and the
+        leg's own request+reply delay is checked against the budget
+        ``deadline - start``. Health hears of every failed request and
+        deadline overrun here, but of a concurrent leg's success only
+        from the caller that settles the clock.
+
+        ``error_overrun_fails``: a remote error whose reply lands past
+        the deadline counts as a deadline failure (outcome
+        ``"deadline"``, evidence for health); otherwise it stays a
+        ``"remote_error"`` leg carrying :class:`DeadlineExceeded`.
+
+        ``reply=False`` is a one-way send: no duplicate, no reply leg, no
+        health evidence.
+        """
+        health = self.health if reply else None
+        dst = msg.dst
+        immediate = sequential and deadline is None
+        try:
+            request = self._deliver(msg, immediate)
+        except (UnreachableError, MessageDropped) as exc:
+            if health is not None:
+                health.record_failure(dst)
+            return ("undeliverable", None, exc, 0.0, None, 0.0, 0.0)
+        remaining = 0.0
+        if deadline is not None:
+            remaining = max(0.0, deadline - start)
+            if (start + request > deadline) if sequential else (request > remaining):
+                # The caller stops waiting while the request is still in
+                # flight: the handler never runs.
+                if sequential:
+                    self.clock.advance(remaining)
+                if health is not None:
+                    health.record_failure(dst)
+                late = DeadlineExceeded(
+                    remaining, remaining, detail=f"request leg rpc:{msg.kind} to {dst}"
+                )
+                return ("deadline", None, late, request, None, remaining, 0.0)
+            if sequential:
+                self.clock.advance(request)
+        error: Exception | None = None
+        try:
+            value = self._handlers[dst](msg)
+        except ReproError as exc:
+            error = type(exc)(*exc.args) if type(exc).__name__ in ERRORS_BY_NAME else exc
+            value, body = None, {"error": str(exc)}
+        except Exception as exc:  # noqa: BLE001 - marshal arbitrary remote failure
+            error = RemoteError(type(exc).__name__, str(exc))
+            error.__cause__ = exc
+            value, body = None, {"error": str(exc)}
+        else:
+            if value is None:
+                value = {}
+            body = value
+        outcome = "ok" if error is None else "remote_error"
+        if not reply:
+            return (outcome, value, error, request, None, request, 0.0)
+        if error is None:
+            self._maybe_duplicate(msg)
+        try:
+            back, stall = self._account_reply(msg, body, immediate)
+        except NetworkError as loss:
+            lost = "reply_lost" if error is None else "remote_error"
+            return (lost, None, loss, request, None, request, 0.0)
+        wait = request + back
+        if deadline is not None:
+            if sequential:
+                now = self.clock.now()
+                overran = now + back > deadline
+                if not overran:
+                    self.clock.advance(back)
+                elif deadline > now:
+                    self.clock.advance(deadline - now)
+            else:
+                overran = wait > remaining
+            if overran:
+                spent = self.clock.now() - start if sequential else remaining
+                late = DeadlineExceeded(
+                    spent, remaining, detail=f"reply leg rpc:{msg.kind} from {dst}"
+                )
+                if error is not None and not error_overrun_fails:
+                    return (outcome, None, late, request, back, remaining, stall)
+                if health is not None:
+                    health.record_failure(dst)
+                return ("deadline", None, late, request, back, remaining, stall)
+        if error is not None:
+            return (outcome, None, error, request, back, wait, stall)
+        if sequential and health is not None:
+            health.record_success(dst, wait)
+        return (outcome, value, None, request, back, wait, stall)
+
+    # -- traffic methods ---------------------------------------------------
 
     def send(self, src: str, dst: str, kind: str, payload: dict[str, Any]) -> None:
         """One-way message: deliver to the destination handler, ignore result.
@@ -330,11 +440,11 @@ class Transport:
                 payload,
                 trace=self._trace_ctx(),
             )
-            self._deliver(msg)
+            outcome, _, error, *_ = self._leg(msg, True, reply=False)
+            if outcome == "undeliverable":
+                raise error  # type: ignore[misc]
             span.set(bytes=msg.size_bytes)
-            try:
-                self._handlers[dst](msg)
-            except Exception:  # noqa: BLE001 - remote failure, invisible to sender
+            if error is not None:
                 self.stats.record_send_failure()
                 span.set(outcome="remote_error")
             else:
@@ -366,81 +476,17 @@ class Transport:
         stops waiting: the clock never advances beyond it on this call,
         and :class:`DeadlineExceeded` is raised instead of the result.
         The wire traffic is still accounted at its real delay — the
-        network was busy whether or not anyone kept listening.
+        network was busy whether or not anyone kept listening. A request
+        leg that overruns never executes the handler (the caller gave up
+        while it was in flight); a reply leg that overruns raises *after*
+        the handler's side effects landed — the usual at-least-once
+        hazard, resolved by the dedup layer on retry.
         """
         if dedup is None:
             dedup = self.next_dedup(src, dst)
-        if deadline is not None:
-            return self._rpc_deadline(src, dst, kind, payload, dedup, deadline)
-        health = self.health
         with maybe_span(self.tracer, f"rpc:{kind}", src, dst=dst) as span:
             start = self.clock.now()
-            msg = Message(
-                ("msg", self._ids.next_num("msg")),
-                src,
-                dst,
-                kind,
-                payload,
-                dedup=dedup,
-                trace=self._trace_ctx(),
-            )
-            try:
-                dlv = self._deliver(msg)
-            except (UnreachableError, MessageDropped):
-                if health is not None:
-                    health.record_failure(dst)
-                raise
-            span.set(bytes=msg.size_bytes)
-            try:
-                result = self._handlers[dst](msg)
-            except ReproError as exc:
-                error = type(exc)(*exc.args) if type(exc).__name__ in ERRORS_BY_NAME else exc
-                span.set(outcome="remote_error")
-                self._account_reply(msg, {"error": str(exc)})
-                if self._last_reply_stall:
-                    span.set(stall=round(self._last_reply_stall, 9))
-                raise error
-            except Exception as exc:  # noqa: BLE001 - marshal arbitrary remote failure
-                span.set(outcome="remote_error")
-                self._account_reply(msg, {"error": str(exc)})
-                if self._last_reply_stall:
-                    span.set(stall=round(self._last_reply_stall, 9))
-                raise RemoteError(type(exc).__name__, str(exc)) from exc
-            if result is None:
-                result = {}
-            self._maybe_duplicate(msg)
-            rpl = self._account_reply(msg, result)
-            if self._last_reply_stall:
-                span.set(stall=round(self._last_reply_stall, 9))
-            if health is not None:
-                health.record_success(dst, dlv + rpl)
-            span.set(outcome="ok", delay=round(self.clock.now() - start, 9))
-            return result
-
-    def _rpc_deadline(
-        self,
-        src: str,
-        dst: str,
-        kind: str,
-        payload: dict[str, Any],
-        dedup: tuple[str, int, int] | None,
-        deadline: float,
-    ) -> dict[str, Any]:
-        """:meth:`rpc` under a deadline budget.
-
-        Identical accounting to the unbounded path (stats charge real
-        delays), except the clock advance for any leg is capped at the
-        deadline and :class:`DeadlineExceeded` is raised the moment the
-        budget cannot absorb the leg. A request leg that overruns never
-        executes the handler (the caller gave up while it was in
-        flight); a reply leg that overruns raises *after* the handler's
-        side effects landed — the usual at-least-once hazard, resolved
-        by the dedup layer on retry.
-        """
-        health = self.health
-        with maybe_span(self.tracer, f"rpc:{kind}", src, dst=dst) as span:
-            start = self.clock.now()
-            if start >= deadline:
+            if deadline is not None and start >= deadline:
                 span.set(outcome="deadline")
                 raise DeadlineExceeded(0.0, 0.0, detail=f"rpc:{kind} to {dst} not sent")
             msg = Message(
@@ -453,70 +499,18 @@ class Transport:
                 trace=self._trace_ctx(),
                 deadline=deadline,
             )
-            try:
-                dlv = self._deliver(msg, advance=False)
-            except (UnreachableError, MessageDropped):
-                if health is not None:
-                    health.record_failure(dst)
-                raise
+            outcome, value, error, _, _, _, stall = self._leg(msg, True, deadline, start)
+            if outcome == "undeliverable":
+                raise error  # type: ignore[misc]
             span.set(bytes=msg.size_bytes)
-            if start + dlv > deadline:
-                self.clock.advance(deadline - start)
-                span.set(outcome="deadline")
-                if health is not None:
-                    health.record_failure(dst)
-                raise DeadlineExceeded(
-                    deadline - start,
-                    deadline - start,
-                    detail=f"request leg rpc:{kind} to {dst}",
-                )
-            self.clock.advance(dlv)
-            try:
-                result = self._handlers[dst](msg)
-            except ReproError as exc:
-                error = type(exc)(*exc.args) if type(exc).__name__ in ERRORS_BY_NAME else exc
-                span.set(outcome="remote_error")
-                rpl = self._account_reply(msg, {"error": str(exc)}, advance=False)
-                if self._last_reply_stall:
-                    span.set(stall=round(self._last_reply_stall, 9))
-                self._advance_within(rpl, start, deadline, span, health, dst, kind)
-                raise error
-            except Exception as exc:  # noqa: BLE001 - marshal arbitrary remote failure
-                span.set(outcome="remote_error")
-                rpl = self._account_reply(msg, {"error": str(exc)}, advance=False)
-                if self._last_reply_stall:
-                    span.set(stall=round(self._last_reply_stall, 9))
-                self._advance_within(rpl, start, deadline, span, health, dst, kind)
-                raise RemoteError(type(exc).__name__, str(exc)) from exc
-            if result is None:
-                result = {}
-            self._maybe_duplicate(msg)
-            rpl = self._account_reply(msg, result, advance=False)
-            if self._last_reply_stall:
-                span.set(stall=round(self._last_reply_stall, 9))
-            self._advance_within(rpl, start, deadline, span, health, dst, kind)
-            if health is not None:
-                health.record_success(dst, dlv + rpl)
-            span.set(outcome="ok", delay=round(self.clock.now() - start, 9))
-            return result
-
-    def _advance_within(
-        self, delay: float, start: float, deadline: float, span, health, dst: str, kind: str
-    ) -> None:
-        """Advance by ``delay`` but never past ``deadline``; raise on overrun."""
-        now = self.clock.now()
-        if now + delay > deadline:
-            if deadline > now:
-                self.clock.advance(deadline - now)
-            span.set(outcome="deadline")
-            if health is not None:
-                health.record_failure(dst)
-            raise DeadlineExceeded(
-                self.clock.now() - start,
-                deadline - start,
-                detail=f"reply leg rpc:{kind} from {dst}",
-            )
-        self.clock.advance(delay)
+            if stall:
+                span.set(stall=round(stall, 9))
+            if outcome == "ok":
+                span.set(outcome="ok", delay=round(self.clock.now() - start, 9))
+                return value  # type: ignore[return-value]
+            if outcome != "reply_lost":
+                span.set(outcome=outcome)
+            raise error  # type: ignore[misc]
 
     def rpc_hedged(
         self,
@@ -545,9 +539,6 @@ class Transport:
         error-failover mechanism; the caller's replica failover handles
         those. A primary whose *reply* is lost never completes, so the
         hedge always fires for it.
-
-        There is one implementation — never rebound by fast mode — so
-        hedged traffic is byte-identical across transport modes.
         """
         health = self.health
         with maybe_span(
@@ -563,56 +554,20 @@ class Transport:
                 dedup=self.next_dedup(src, primary),
                 trace=self._trace_ctx(),
             )
-            p_result: dict[str, Any] | None = None
-            p_error: Exception | None = None
-            p_total: float | None = None  # None = reply lost, never completes
-            p_stall = b_stall = 0.0  # reply-leg stall per leg, for attribution
-            try:
-                dlv = self._deliver(msg, advance=False)
-            except (UnreachableError, MessageDropped):
-                if health is not None:
-                    health.record_failure(primary)
+            p_outcome, p_result, p_error, _, p_reply, p_wait, p_stall = self._leg(msg, False)
+            if p_outcome == "undeliverable":
                 span.set(outcome="undeliverable")
-                raise
+                raise p_error  # type: ignore[misc]
             span.set(bytes=msg.size_bytes)
-            try:
-                result = self._handlers[primary](msg)
-            except ReproError as exc:
-                p_error = (
-                    type(exc)(*exc.args) if type(exc).__name__ in ERRORS_BY_NAME else exc
-                )
-                try:
-                    p_total = dlv + self._account_reply(
-                        msg, {"error": str(exc)}, advance=False
-                    )
-                except NetworkError as loss:
-                    p_error, p_total = loss, None
-            except Exception as exc:  # noqa: BLE001 - marshal arbitrary remote failure
-                p_error = RemoteError(type(exc).__name__, str(exc))
-                try:
-                    p_total = dlv + self._account_reply(
-                        msg, {"error": str(exc)}, advance=False
-                    )
-                except NetworkError as loss:
-                    p_error, p_total = loss, None
-            else:
-                if result is None:
-                    result = {}
-                self._maybe_duplicate(msg)
-                try:
-                    p_total = dlv + self._account_reply(msg, result, advance=False)
-                except NetworkError as loss:
-                    p_error, p_total = loss, None
-                else:
-                    p_result = result
-                    p_stall = self._last_reply_stall
+            # None = the reply was lost: the primary never completes.
+            p_total = None if p_reply is None else p_wait
             if p_total is not None and p_total <= hedge_delay:
                 # The primary answered (or errored) before the hedge
                 # timer: no second leg is ever sent.
                 self.clock.advance(p_total)
-                if p_error is not None:
+                if p_outcome != "ok":
                     span.set(outcome="remote_error")
-                    raise p_error
+                    raise p_error  # type: ignore[misc]
                 if health is not None:
                     health.record_success(primary, p_total)
                 if p_stall:
@@ -632,67 +587,30 @@ class Transport:
                 dedup=self.next_dedup(src, backup),
                 trace=self._trace_ctx(),
             )
-            b_result: dict[str, Any] | None = None
-            b_error: Exception | None = None
-            b_total: float | None = None
-            try:
-                bdlv = self._deliver(b_msg, advance=False)
-            except (UnreachableError, MessageDropped) as exc:
-                if health is not None:
-                    health.record_failure(backup)
-                b_error, b_total = exc, hedge_delay
+            b_outcome, b_result, _, b_request, b_reply, _, b_stall = self._leg(b_msg, False)
+            if b_outcome == "undeliverable":
+                b_total: float | None = hedge_delay
+            elif b_reply is None:
+                b_total = None
             else:
-                try:
-                    bres = self._handlers[backup](b_msg)
-                except ReproError as exc:
-                    b_error = (
-                        type(exc)(*exc.args)
-                        if type(exc).__name__ in ERRORS_BY_NAME
-                        else exc
-                    )
-                    try:
-                        b_total = hedge_delay + bdlv + self._account_reply(
-                            b_msg, {"error": str(exc)}, advance=False
-                        )
-                    except NetworkError as loss:
-                        b_error, b_total = loss, None
-                except Exception as exc:  # noqa: BLE001 - marshal remote failure
-                    b_error = RemoteError(type(exc).__name__, str(exc))
-                    try:
-                        b_total = hedge_delay + bdlv + self._account_reply(
-                            b_msg, {"error": str(exc)}, advance=False
-                        )
-                    except NetworkError as loss:
-                        b_error, b_total = loss, None
-                else:
-                    if bres is None:
-                        bres = {}
-                    self._maybe_duplicate(b_msg)
-                    try:
-                        b_total = hedge_delay + bdlv + self._account_reply(
-                            b_msg, bres, advance=False
-                        )
-                    except NetworkError as loss:
-                        b_error, b_total = loss, None
-                    else:
-                        b_result = bres
-                        b_stall = self._last_reply_stall
+                b_total = hedge_delay + b_request + b_reply
 
             # First successful reply wins; ties favor the primary.
             winners = []
-            if p_result is not None and p_total is not None:
+            if p_outcome == "ok":
                 winners.append((p_total, 0))
-            if b_result is not None and b_total is not None:
+            if b_outcome == "ok":
                 winners.append((b_total, 1))
             if winners:
-                total, which = min(winners)
+                total, which = min(winners)  # type: ignore[type-var]
                 self.clock.advance(total)
                 if health is not None:
                     # Both replies eventually arrive; both are RTT samples.
-                    if p_result is not None and p_total is not None:
+                    if p_outcome == "ok":
                         health.record_success(primary, p_total)
-                    if b_result is not None and b_total is not None:
-                        health.record_success(backup, b_total - hedge_delay)
+                    if b_outcome == "ok":
+                        rtt = b_total - hedge_delay  # type: ignore[operator]
+                        health.record_success(backup, rtt)
                 # The winner's reply is the one the caller's elapsed time
                 # followed, so its stall is the span's stall; the loser's
                 # reply was discarded (its stall cost nobody anything).
@@ -711,7 +629,7 @@ class Transport:
             known = [t for t in (p_total, b_total) if t is not None]
             self.clock.advance(max(known) if known else hedge_delay)
             span.set(outcome="failed", delay=round(self.clock.now() - start, 9))
-            raise p_error if p_error is not None else b_error  # type: ignore[misc]
+            raise p_error  # type: ignore[misc]
 
     def rpc_many(
         self,
@@ -761,9 +679,7 @@ class Transport:
         batch_stall = 0.0
         with maybe_span(self.tracer, "net.batch", src, legs=len(legs)) as batch:
             start = self.clock.now()
-            remaining = None if deadline is None else max(0.0, deadline - start)
             for call in legs:
-                leg_stall = 0.0
                 dedup = call.dedup if call.dedup is not None else self.next_dedup(src, call.dst)
                 with maybe_span(
                     self.tracer, f"rpc:{call.kind}", src, dst=call.dst
@@ -778,349 +694,36 @@ class Transport:
                         trace=self._trace_ctx(),
                         deadline=deadline,
                     )
-                    try:
-                        delay = self._deliver(msg, advance=False)
-                    except (UnreachableError, MessageDropped) as exc:
-                        span.set(outcome="undeliverable")
-                        if health is not None:
-                            health.record_failure(call.dst)
-                        outcomes.append(RpcOutcome(call.dst, False, error=exc))
+                    outcome, value, error, _, reply, wait, stall = self._leg(
+                        msg, False, deadline, start, error_overrun_fails=False
+                    )
+                    span.set(outcome=outcome)
+                    outcomes.append(RpcOutcome(call.dst, outcome == "ok", value, error, wait))
+                    if outcome == "undeliverable":
                         continue
-                    span.set(bytes=msg.size_bytes)
-                    if remaining is not None and delay > remaining:
-                        # The caller stops waiting while the request is
-                        # still in flight: the handler never runs.
-                        span.set(outcome="deadline", delay=round(remaining, 9))
-                        if health is not None:
-                            health.record_failure(call.dst)
-                        outcomes.append(
-                            RpcOutcome(
-                                call.dst,
-                                False,
-                                error=DeadlineExceeded(
-                                    remaining,
-                                    remaining,
-                                    detail=f"request leg rpc:{call.kind} to {call.dst}",
-                                ),
-                                delay=remaining,
-                            )
-                        )
-                        if remaining > max_delay:
-                            # An abandoned wait is a stall from the
-                            # caller's seat, whatever the wire was doing.
-                            max_delay = remaining
-                            batch_stall = remaining
-                        continue
-                    try:
-                        result = self._handlers[call.dst](msg)
-                    except ReproError as exc:
-                        error: Exception = (
-                            type(exc)(*exc.args)
-                            if type(exc).__name__ in ERRORS_BY_NAME
-                            else exc
-                        )
-                        try:
-                            delay += self._account_reply(
-                                msg, {"error": str(exc)}, advance=False
-                            )
-                        except NetworkError as loss:
-                            error = loss
-                        leg_stall = self._last_reply_stall
-                        if remaining is not None and delay > remaining:
-                            error = DeadlineExceeded(
-                                remaining,
-                                remaining,
-                                detail=f"reply leg rpc:{call.kind} from {call.dst}",
-                            )
-                            delay = remaining
-                            leg_stall = min(leg_stall, delay)
-                        if leg_stall:
-                            span.set(stall=round(leg_stall, 9))
-                        span.set(outcome="remote_error", delay=round(delay, 9))
-                        outcomes.append(RpcOutcome(call.dst, False, error=error, delay=delay))
-                    except Exception as exc:  # noqa: BLE001 - marshal arbitrary remote failure
-                        error = RemoteError(type(exc).__name__, str(exc))
-                        try:
-                            delay += self._account_reply(
-                                msg, {"error": str(exc)}, advance=False
-                            )
-                        except NetworkError as loss:
-                            error = loss
-                        leg_stall = self._last_reply_stall
-                        if remaining is not None and delay > remaining:
-                            error = DeadlineExceeded(
-                                remaining,
-                                remaining,
-                                detail=f"reply leg rpc:{call.kind} from {call.dst}",
-                            )
-                            delay = remaining
-                            leg_stall = min(leg_stall, delay)
-                        if leg_stall:
-                            span.set(stall=round(leg_stall, 9))
-                        span.set(outcome="remote_error", delay=round(delay, 9))
-                        outcomes.append(RpcOutcome(call.dst, False, error=error, delay=delay))
+                    span.set(bytes=msg.size_bytes, delay=round(wait, 9))
+                    if outcome == "deadline":
+                        # An abandoned wait is a stall from the caller's
+                        # seat, whatever the wire was doing.
+                        stall = wait
                     else:
-                        if result is None:
-                            result = {}
-                        self._maybe_duplicate(msg)
-                        try:
-                            delay += self._account_reply(msg, result, advance=False)
-                        except NetworkError as loss:
-                            span.set(outcome="reply_lost", delay=round(delay, 9))
-                            outcomes.append(
-                                RpcOutcome(call.dst, False, error=loss, delay=delay)
-                            )
-                        else:
-                            leg_stall = self._last_reply_stall
-                            if remaining is not None and delay > remaining:
-                                # The caller abandons the wait at the
-                                # deadline: from its seat the whole
-                                # remaining budget was a stall.
-                                leg_stall = remaining
-                                span.set(outcome="deadline", delay=round(remaining, 9))
-                                if health is not None:
-                                    health.record_failure(call.dst)
-                                outcomes.append(
-                                    RpcOutcome(
-                                        call.dst,
-                                        False,
-                                        error=DeadlineExceeded(
-                                            remaining,
-                                            remaining,
-                                            detail=(
-                                                f"reply leg rpc:{call.kind} "
-                                                f"from {call.dst}"
-                                            ),
-                                        ),
-                                        delay=remaining,
-                                    )
-                                )
-                            else:
-                                if leg_stall:
-                                    span.set(stall=round(min(leg_stall, delay), 9))
-                                span.set(outcome="ok", delay=round(delay, 9))
-                                if health is not None:
-                                    health.record_success(call.dst, delay)
-                                outcomes.append(
-                                    RpcOutcome(call.dst, True, value=result, delay=delay)
-                                )
-                    if delay > max_delay:
-                        max_delay = delay
-                        batch_stall = leg_stall
-            if remaining is not None:
-                max_delay = min(max_delay, remaining)
+                        stall = min(stall, wait)
+                        if stall:
+                            span.set(stall=round(stall, 9))
+                    if outcome == "ok" and health is not None:
+                        # Recorded at the batch's start time, before the
+                        # batch advances the clock.
+                        health.record_success(call.dst, wait)
+                # A reply that landed past the deadline owns the tail even
+                # on a tie: its full round trip is what the caller gave up on.
+                if wait > max_delay or (outcome == "deadline" and reply is not None):
+                    max_delay = wait
+                    batch_stall = stall
             self.clock.advance(max_delay)
             batch.set(max_delay=round(max_delay, 9))
             if batch_stall:
-                batch.set(stall=round(min(batch_stall, max_delay), 9))
+                batch.set(stall=round(batch_stall, 9))
         self.stats.record_batch(len(legs), max_delay)
-        return outcomes
-
-    # -- fast-path implementations -----------------------------------------
-
-    # Bound over rpc/rpc_many/send by ``Transport(fast=True)``. Contract
-    # (DESIGN.md §5.11): engage only when tracing is off AND the fault
-    # plan is inert; otherwise delegate to the default implementation.
-    # Within that window every observable — virtual time, wire bytes,
-    # stats/registry state, id sequences, tap order, dedup keys — is
-    # identical to the default path; only Python-level overhead differs.
-
-    def _fast_eligible(self) -> bool:
-        """Can the cheap path run right now? (tracing off, faults inert)"""
-        tracer = self.tracer
-        return (tracer is None or not tracer.enabled) and not self.faults.active
-
-    def _rpc_fast(
-        self,
-        src: str,
-        dst: str,
-        kind: str,
-        payload: dict[str, Any],
-        dedup: tuple[str, int, int] | None = None,
-        deadline: float | None = None,
-    ) -> dict[str, Any]:
-        """Allocation-lean :meth:`rpc` for the tracing-off, no-fault window."""
-        tracer = self.tracer
-        if (
-            (tracer is not None and tracer.enabled)
-            or self.faults.active
-            or deadline is not None
-        ):
-            return Transport.rpc(self, src, dst, kind, payload, dedup, deadline)
-        # Id/seq allocation strictly precedes the reachability checks, as in
-        # the default path — an unreachable call must consume the same
-        # dedup seq and message id in both modes.
-        if dedup is None and self.stamp_dedup:
-            pair = (src, dst)
-            seq = self._seqs.get(pair, 0) + 1
-            self._seqs[pair] = seq
-            dedup = (src, self._incarnations.get(src, 1), seq)
-        ids = self._ids
-        clock = self.clock
-        stats = self.stats
-        msg = Message(("msg", ids.next_num("msg")), src, dst, kind, payload, dedup=dedup)
-        addresses = self._addresses
-        if src not in addresses:
-            raise UnreachableError(f"source node {src!r} not attached")
-        handler = self._handlers.get(dst)
-        if handler is None:
-            stats.record_unreachable()
-            if self.health is not None:
-                self.health.record_failure(dst)
-            raise UnreachableError(f"node {dst!r} is not attached to the network")
-        flat = self._flat_delay
-        delay = flat if flat is not None else self.latency.delay(
-            addresses[src], addresses[dst], msg
-        )
-        clock.advance(delay)
-        stats.record_delivery(kind, msg.size_bytes, delay, False)
-        for tap in self.taps:
-            tap(msg)
-        try:
-            result = handler(msg)
-        except ReproError as exc:
-            error = type(exc)(*exc.args) if type(exc).__name__ in ERRORS_BY_NAME else exc
-            self._account_reply(msg, {"error": str(exc)})
-            raise error
-        except Exception as exc:  # noqa: BLE001 - marshal arbitrary remote failure
-            self._account_reply(msg, {"error": str(exc)})
-            raise RemoteError(type(exc).__name__, str(exc)) from exc
-        if result is None:
-            result = {}
-        # No duplicate-delivery probe: an inert fault plan has no dup rules.
-        reply = Message(("msg", ids.next_num("msg")), dst, src, kind, result, is_reply=True)
-        rdelay = flat if flat is not None else self.latency.delay(
-            addresses[dst], addresses[src], reply
-        )
-        clock.advance(rdelay)
-        stats.record_delivery(kind, reply.size_bytes, rdelay, True)
-        for tap in self.taps:
-            tap(reply)
-        if self.health is not None:
-            self.health.record_success(dst, delay + rdelay)
-        return result
-
-    def _send_fast(self, src: str, dst: str, kind: str, payload: dict[str, Any]) -> None:
-        """Allocation-lean :meth:`send` for the tracing-off, no-fault window."""
-        tracer = self.tracer
-        if (tracer is not None and tracer.enabled) or self.faults.active:
-            return Transport.send(self, src, dst, kind, payload)
-        # Message id allocated before the checks — see _rpc_fast.
-        msg = Message(("msg", self._ids.next_num("msg")), src, dst, kind, payload)
-        addresses = self._addresses
-        if src not in addresses:
-            raise UnreachableError(f"source node {src!r} not attached")
-        handler = self._handlers.get(dst)
-        if handler is None:
-            self.stats.record_unreachable()
-            raise UnreachableError(f"node {dst!r} is not attached to the network")
-        flat = self._flat_delay
-        delay = flat if flat is not None else self.latency.delay(
-            addresses[src], addresses[dst], msg
-        )
-        self.clock.advance(delay)
-        self.stats.record_delivery(kind, msg.size_bytes, delay, False)
-        for tap in self.taps:
-            tap(msg)
-        try:
-            handler(msg)
-        except Exception:  # noqa: BLE001 - remote failure, invisible to sender
-            self.stats.record_send_failure()
-
-    def _rpc_many_fast(
-        self,
-        src: str,
-        calls: Sequence[RpcCall | tuple[str, str, dict[str, Any]]],
-        deadline: float | None = None,
-    ) -> list[RpcOutcome]:
-        """Allocation-lean :meth:`rpc_many` for the tracing-off, no-fault window."""
-        tracer = self.tracer
-        if (
-            (tracer is not None and tracer.enabled)
-            or self.faults.active
-            or deadline is not None
-        ):
-            return Transport.rpc_many(self, src, calls, deadline)
-        legs = [c if isinstance(c, RpcCall) else RpcCall(*c) for c in calls]
-        if not legs:
-            return []
-        addresses = self._addresses
-        if src not in addresses:
-            raise UnreachableError(f"source node {src!r} not attached")
-        handlers = self._handlers
-        ids = self._ids
-        stats = self.stats
-        taps = self.taps
-        stamp = self.stamp_dedup
-        seqs = self._seqs
-        incarnation = self._incarnations.get(src, 1)
-        flat = self._flat_delay
-        outcomes: list[RpcOutcome] = []
-        max_delay = 0.0
-        for call in legs:
-            dst = call.dst
-            dedup = call.dedup
-            if dedup is None and stamp:
-                pair = (src, dst)
-                seq = seqs.get(pair, 0) + 1
-                seqs[pair] = seq
-                dedup = (src, incarnation, seq)
-            msg = Message(
-                ("msg", ids.next_num("msg")), src, dst, call.kind, call.payload, dedup=dedup
-            )
-            handler = handlers.get(dst)
-            if handler is None:
-                stats.record_unreachable()
-                if self.health is not None:
-                    self.health.record_failure(dst)
-                outcomes.append(
-                    RpcOutcome(
-                        dst,
-                        False,
-                        error=UnreachableError(
-                            f"node {dst!r} is not attached to the network"
-                        ),
-                    )
-                )
-                continue
-            delay = flat if flat is not None else self.latency.delay(
-                addresses[src], addresses[dst], msg
-            )
-            stats.record_delivery(call.kind, msg.size_bytes, delay, False)
-            for tap in taps:
-                tap(msg)
-            try:
-                result = handler(msg)
-            except ReproError as exc:
-                error: Exception = (
-                    type(exc)(*exc.args) if type(exc).__name__ in ERRORS_BY_NAME else exc
-                )
-                delay += self._account_reply(msg, {"error": str(exc)}, advance=False)
-                outcomes.append(RpcOutcome(dst, False, error=error, delay=delay))
-            except Exception as exc:  # noqa: BLE001 - marshal arbitrary remote failure
-                error = RemoteError(type(exc).__name__, str(exc))
-                delay += self._account_reply(msg, {"error": str(exc)}, advance=False)
-                outcomes.append(RpcOutcome(dst, False, error=error, delay=delay))
-            else:
-                if result is None:
-                    result = {}
-                reply = Message(
-                    ("msg", ids.next_num("msg")), dst, src, call.kind, result, is_reply=True
-                )
-                rdelay = flat if flat is not None else self.latency.delay(
-                    addresses[dst], addresses[src], reply
-                )
-                delay += rdelay
-                stats.record_delivery(call.kind, reply.size_bytes, rdelay, True)
-                for tap in taps:
-                    tap(reply)
-                if self.health is not None:
-                    self.health.record_success(dst, delay)
-                outcomes.append(RpcOutcome(dst, True, value=result, delay=delay))
-            if delay > max_delay:
-                max_delay = delay
-        self.clock.advance(max_delay)
-        stats.record_batch(len(legs), max_delay)
         return outcomes
 
     # -- duplicate delivery (fault model) ----------------------------------
@@ -1177,8 +780,12 @@ class Transport:
 
     def _account_reply(
         self, request: Message, payload: dict[str, Any], advance: bool = True
-    ) -> float:
+    ) -> tuple[float, float]:
         """Account the reply leg of ``request``; raises if it is lost.
+
+        Returns the reply's delay and its stall component (the share a
+        stalled destination added, which latency attribution carves out
+        of wire transit — repro.obs.critical).
 
         The reply can fail independently of the request: the requester
         went down/partitioned away mid-call (``UnreachableError``) or a
@@ -1189,7 +796,6 @@ class Transport:
         meaning "request legs that failed") and reply-loss taps fire so
         chaos can queue both endpoints for reconciliation.
         """
-        self._last_reply_stall = 0.0
         reply = Message(
             ("msg", self._ids.next_num("msg")),
             request.dst,
@@ -1198,14 +804,16 @@ class Transport:
             payload,
             is_reply=True,
         )
-        if not self.faults.reachable(request.dst, request.src):
+        faults = self.faults
+        active = faults.active  # inert: the reply cannot be lost or delayed
+        if active and not faults.reachable(request.dst, request.src):
             self.stats.record_reply_lost()
             for tap in self.reply_loss_taps:
                 tap(reply)
             raise UnreachableError(
                 f"reply to {request.src!r} lost: unreachable from {request.dst!r}"
             )
-        if self.faults.should_drop(reply):
+        if active and faults.should_drop(reply):
             self.stats.record_reply_lost()
             for tap in self.reply_loss_taps:
                 tap(reply)
@@ -1216,20 +824,19 @@ class Transport:
             self._addresses[request.dst], self._addresses[request.src], reply
         )
         stall = 0.0
-        if self.faults.active:
+        if active:
             # Gray inflation on the reply leg, plus the stall penalty: a
             # stalled node executed the handler (side effects landed, it
             # looks alive to liveness probes) but its reply crawls home.
             # Loopback is exempt (like gray_delay): a self-invocation
             # never traverses the wedged network-facing reply path.
-            delay += self.faults.gray_delay(request.dst, request.src)
+            delay += faults.gray_delay(request.dst, request.src)
             if request.dst != request.src:
-                stall = self.faults.stall_delay(request.dst)
+                stall = faults.stall_delay(request.dst)
                 delay += stall
-        self._last_reply_stall = stall
         if advance:
             self.clock.advance(delay)
         self.stats.record_delivery(reply.kind, reply.size_bytes, delay, True)
         for tap in self.taps:
             tap(reply)
-        return delay
+        return delay, stall

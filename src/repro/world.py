@@ -66,7 +66,6 @@ class SyDWorld:
         recovery: bool = True,
         tracing: bool = True,
         trace_sample: int = 1,
-        fast: bool = False,
         directory_shards: int = 1,
         directory_replicas: int = 1,
         health: bool = False,
@@ -89,16 +88,11 @@ class SyDWorld:
         #: ``trace_sample=k`` records every k-th root trace only.
         self.tracer = Tracer(self.clock, sample=trace_sample)
         self.tracer.enabled = tracing
-        #: fast mode (DESIGN.md §5.11): bind the transport's allocation-lean
-        #: traffic methods. Only wall-clock changes — virtual time, wire
-        #: bytes, stats and ordering stay byte-identical to the default.
-        self.fast = fast
         self.transport = Transport(
             clock=self.clock,
             latency=latency,
             stats=NetworkStats(self.metrics),
             tracer=self.tracer,
-            fast=fast,
         )
         # Scheduler-fired callbacks (lease sweeps, chaos fault events,
         # redeliveries) run with a detached span stack: they are their own

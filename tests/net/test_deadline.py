@@ -91,18 +91,21 @@ class TestRpcDeadline:
         t.rpc("a", "b", "ping", {}, deadline=t.clock.now() + 50.0)
         assert t.stats.bytes - plain > 0
 
-    def test_fast_mode_delegates_identically(self):
-        def run(fast):
-            t = Transport(latency=ConstantLatency(0.5), fast=fast)
-            attach(t, "a")
-            attach(t, "b")
-            try:
-                t.rpc("a", "b", "ping", {}, deadline=t.clock.now() + 0.3)
-            except DeadlineExceeded as exc:
-                return (t.clock.now(), str(exc), t.stats.messages)
-            return None
 
-        assert run(False) == run(True)
+class TestRpcHandlerTiming:
+    """A sequential rpc's handler runs once the request has landed."""
+
+    @pytest.mark.parametrize("budget", (None, 5.0), ids=("no-deadline", "deadline"))
+    def test_handler_sees_start_plus_request_delay(self, budget):
+        t = make_transport(latency=0.25)
+        seen = []
+        attach(t, "a")
+        attach(t, "b", handler=lambda m: seen.append(t.clock.now()) or {})
+        t.clock.advance(1.0)
+        deadline = None if budget is None else t.clock.now() + budget
+        t.rpc("a", "b", "ping", {}, deadline=deadline)
+        assert seen == [1.25]
+        assert t.clock.now() == 1.5
 
 
 class TestRpcManyDeadline:

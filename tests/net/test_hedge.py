@@ -125,3 +125,21 @@ class TestHedgeFires:
             return (out, t.clock.now(), t.stats.messages, t.stats.hedges)
 
         assert run() == run()
+
+
+class TestHandlerTiming:
+    def test_primary_and_backup_handlers_run_at_call_start(self):
+        t = Transport(latency=PerDestLatency({"p": 3.0, "q": 0.01, "a": 0.01}))
+        seen = {}
+        attach(t, "a")
+        for node in ("p", "q"):
+            attach(
+                t,
+                node,
+                lambda m, node=node: seen.__setitem__(node, t.clock.now()) or {"from": node},
+            )
+        t.clock.advance(1.0)
+        result = t.rpc_hedged("a", "p", "q", "read", {}, hedge_delay=0.25)
+        assert result == {"from": "q"}
+        assert seen == {"p": 1.0, "q": 1.0}
+        assert t.clock.now() == pytest.approx(1.0 + 0.25 + 0.01 + 0.01)

@@ -156,6 +156,23 @@ class TestPerLegFaults:
         assert t.clock.now() == 0.0
 
 
+class TestHandlerTiming:
+    @pytest.mark.parametrize("budget", (None, 10.0), ids=("no-deadline", "deadline"))
+    def test_every_leg_handler_runs_at_batch_start(self, budget):
+        # Concurrent legs: no leg's request delay (nor an earlier leg's
+        # round trip) has elapsed when its handler runs.
+        t = make_world(latency=PerDestLatency({"b": 0.1, "c": 0.4, "d": 0.2, "a": 0.1}))
+        seen = {}
+        for node in ("b", "c", "d"):
+            attach(t, node, lambda m, node=node: seen.__setitem__(node, t.clock.now()))
+        t.clock.advance(2.0)
+        deadline = None if budget is None else t.clock.now() + budget
+        t.rpc_many("a", [RpcCall("b", "ping"), RpcCall("c", "ping"), RpcCall("d", "ping")],
+                   deadline)
+        assert seen == {"b": 2.0, "c": 2.0, "d": 2.0}
+        assert t.clock.now() == pytest.approx(2.5)
+
+
 class TestDeterminism:
     def _run(self, seed):
         import random

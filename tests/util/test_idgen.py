@@ -50,8 +50,8 @@ def test_next_num_returns_integers():
 
 
 def test_next_and_next_num_share_one_counter():
-    # The transport's fast path draws raw numbers while slower code
-    # draws formatted ids; both must advance the same sequence.
+    # The transport draws raw numbers while other code draws formatted
+    # ids; both must advance the same sequence.
     gen = IdGenerator()
     assert gen.next("msg") == "msg-1"
     assert gen.next_num("msg") == 2
