@@ -82,6 +82,9 @@ class CalendarStore:
         self.days = days
         self.day_start = day_start
         self.day_end = day_end
+        #: (store, slots version) the free-slot view was built at
+        self._free_key: tuple[DataStore, int] | None = None
+        self._free_view: list[dict[str, Any]] = []
         if not store.has_table(SLOTS_TABLE):
             store.create_table(SLOTS_TABLE, slots_schema())
             for day in range(days):
@@ -104,15 +107,22 @@ class CalendarStore:
         return self.slot(entity_to_id(entity))
 
     def free_slots(self, day_from: int, day_to: int) -> list[dict[str, Any]]:
-        """Free slots with ``day_from <= day <= day_to``, chronological."""
-        rows = self.store.select(
-            SLOTS_TABLE,
-            (where("status") == SlotStatus.FREE.value)
-            & (where("day") >= day_from)
-            & (where("day") <= day_to),
-        )
-        rows.sort(key=lambda r: (r["day"], r["hour"]))
-        return rows
+        """Free slots with ``day_from <= day <= day_to``, chronological.
+
+        Served from a view of every free slot that is rebuilt only when
+        the slots table's :meth:`~repro.datastore.store.DataStore.version`
+        moves; each call returns fresh row copies.
+        """
+        key = (self.store, self.store.version(SLOTS_TABLE))
+        if self._free_key != key:
+            rows = self.store.select(SLOTS_TABLE, where("status") == SlotStatus.FREE.value)
+            # select returns pk order; the stable sort keeps it among ties.
+            rows.sort(key=lambda r: (r["day"], r["hour"]))
+            self._free_key, self._free_view = key, rows
+        try:
+            return [dict(r) for r in self._free_view if day_from <= r["day"] <= day_to]
+        except TypeError:  # a non-numeric bound matches no row, as in a predicate
+            return []
 
     def set_slot(
         self,

@@ -73,10 +73,12 @@ class FlatFileStore(DataStore):
     def create_table(self, table: str, schema: Schema) -> None:
         if table in self._files:
             raise StoreError(f"table {table!r} already exists")
+        self._stamp(table)
         self._files[table] = (schema, [])
 
     def drop_table(self, table: str) -> None:
         self._require(table)
+        self._stamp(table)
         del self._files[table]
 
     def has_table(self, table: str) -> bool:
@@ -106,6 +108,7 @@ class FlatFileStore(DataStore):
 
     def insert(self, table: str, row: dict[str, Any]) -> dict[str, Any]:
         schema, lines = self._require(table)
+        self._stamp(table)
         stored = schema.normalize_insert(row)
         pk = stored[schema.primary_key]
         for line in lines:
@@ -152,6 +155,7 @@ class FlatFileStore(DataStore):
 
     def update(self, table: str, predicate: Predicate | None, changes: dict[str, Any]) -> int:
         schema, lines = self._require(table)
+        self._stamp(table)
         if not changes:
             return 0
         schema.validate_update(changes)
@@ -173,6 +177,7 @@ class FlatFileStore(DataStore):
 
     def delete(self, table: str, predicate: Predicate | None) -> int:
         schema, lines = self._require(table)
+        self._stamp(table)
         pred = predicate or ALWAYS
         kept, removed = [], []
         for line in lines:
@@ -218,6 +223,7 @@ class FlatFileStore(DataStore):
                 Column(pieces[0], ColumnType(pieces[1]), nullable="null" in pieces[2:])
             )
         schema = Schema(tuple(cols), pk)
+        self._stamp(table)
         self._files[table] = (schema, [ln for ln in lines[2:] if ln])
 
     # -- internal ------------------------------------------------------------

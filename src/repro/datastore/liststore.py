@@ -39,10 +39,12 @@ class ListStore(DataStore):
     def create_table(self, table: str, schema: Schema) -> None:
         if table in self._lists:
             raise StoreError(f"table {table!r} already exists")
+        self._stamp(table)
         self._lists[table] = (schema, [])
 
     def drop_table(self, table: str) -> None:
         self._require(table)
+        self._stamp(table)
         del self._lists[table]
 
     def has_table(self, table: str) -> bool:
@@ -58,6 +60,7 @@ class ListStore(DataStore):
 
     def insert(self, table: str, row: dict[str, Any]) -> dict[str, Any]:
         schema, rows = self._require(table)
+        self._stamp(table)
         stored = schema.normalize_insert(row)
         pk = stored[schema.primary_key]
         if any(r[schema.primary_key] == pk for r in rows):
@@ -102,6 +105,7 @@ class ListStore(DataStore):
 
     def update(self, table: str, predicate: Predicate | None, changes: dict[str, Any]) -> int:
         schema, rows = self._require(table)
+        self._stamp(table)
         if not changes:
             return 0
         schema.validate_update(changes)
@@ -121,6 +125,7 @@ class ListStore(DataStore):
 
     def delete(self, table: str, predicate: Predicate | None) -> int:
         schema, rows = self._require(table)
+        self._stamp(table)
         pred = predicate or ALWAYS
         removed = [r for r in rows if pred.matches(r)]
         self._lists[table] = (schema, [r for r in rows if not pred.matches(r)])

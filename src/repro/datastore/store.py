@@ -10,6 +10,11 @@ application must keep working.
 All implementations fire row triggers (:mod:`repro.datastore.triggers`)
 *after* each successful mutation, which is how the prototype's
 Oracle-trigger event propagation is modeled.
+
+Every mutating verb also stamps the table's :meth:`DataStore.version`
+on entry, before any row changes and before any trigger fires, so a
+reader can cache a view derived from a table and rebuild it only when
+the version moves.
 """
 
 from __future__ import annotations
@@ -38,6 +43,23 @@ class DataStore(ABC):
     def __init__(self, name: str):
         self.name = name
         self.triggers = TriggerManager()
+        self._clock = 0
+        self._versions: dict[str, int] = {}
+
+    # -- versions ---------------------------------------------------------------
+
+    def version(self, table: str) -> int:
+        """Stamp of the last mutation to ``table`` (0 if never touched).
+
+        Stamps come from one store-wide counter, so they only grow and a
+        dropped-then-recreated table never repeats an earlier stamp.
+        """
+        return self._versions.get(table, 0)
+
+    def _stamp(self, table: str) -> None:
+        """Move ``table``'s version; mutating verbs call it on entry."""
+        self._clock += 1
+        self._versions[table] = self._clock
 
     # -- schema ---------------------------------------------------------------
 
@@ -132,10 +154,12 @@ class RelationalStore(DataStore):
     def create_table(self, table: str, schema: Schema) -> None:
         if table in self._tables:
             raise StoreError(f"table {table!r} already exists")
+        self._stamp(table)
         self._tables[table] = Table(table, schema)
 
     def drop_table(self, table: str) -> None:
         self._require(table)
+        self._stamp(table)
         del self._tables[table]
 
     def has_table(self, table: str) -> bool:
@@ -153,7 +177,9 @@ class RelationalStore(DataStore):
     # -- data -----------------------------------------------------------------
 
     def insert(self, table: str, row: dict[str, Any]) -> dict[str, Any]:
-        stored = self._require(table).insert(row)
+        tbl = self._require(table)
+        self._stamp(table)
+        stored = tbl.insert(row)
         self.triggers.fire(TriggerEvent.INSERT, table, None, stored)
         return stored
 
@@ -179,13 +205,17 @@ class RelationalStore(DataStore):
         )
 
     def update(self, table: str, predicate: Predicate | None, changes: dict[str, Any]) -> int:
-        pairs = self._require(table).update_rows(predicate, changes)
+        tbl = self._require(table)
+        self._stamp(table)
+        pairs = tbl.update_rows(predicate, changes)
         for old, new in pairs:
             self.triggers.fire(TriggerEvent.UPDATE, table, old, new)
         return len(pairs)
 
     def delete(self, table: str, predicate: Predicate | None) -> int:
-        removed = self._require(table).delete_rows(predicate)
+        tbl = self._require(table)
+        self._stamp(table)
+        removed = tbl.delete_rows(predicate)
         for row in removed:
             self.triggers.fire(TriggerEvent.DELETE, table, row, None)
         return len(removed)

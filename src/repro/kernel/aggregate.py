@@ -105,10 +105,11 @@ def intersect_lists(results: Sequence[InvocationResult]) -> list[Any]:
     if not results or any(not r.ok for r in results):
         return []
     first = list(results[0].value or [])
-    keep = set(map(_hashable, first))
+    first_keys = list(map(_hashable, first))
+    keep = set(first_keys)
     for r in results[1:]:
         keep &= set(map(_hashable, r.value or []))
-    return [item for item in first if _hashable(item) in keep]
+    return [item for item, key in zip(first, first_keys) if key in keep]
 
 
 def count_success(results: Sequence[InvocationResult]) -> int:
@@ -133,9 +134,19 @@ def quorum(fraction: float) -> Aggregator:
     return check
 
 
+#: value types the key of :func:`_hashable` is built from recursively
+_NESTED = (list, dict)
+
+
 def _hashable(value: Any) -> Any:
+    """Hashable key of a JSON-like value: lists become tuples, dicts
+    sorted item tuples, recursively."""
+    if isinstance(value, dict):
+        for item in value.values():
+            if isinstance(item, _NESTED):
+                return tuple(sorted((k, _hashable(v)) for k, v in value.items()))
+        # Flat dict (the free-slot entity): the same key without the walk.
+        return tuple(sorted(value.items()))
     if isinstance(value, list):
         return tuple(_hashable(v) for v in value)
-    if isinstance(value, dict):
-        return tuple(sorted((k, _hashable(v)) for k, v in value.items()))
     return value

@@ -37,8 +37,16 @@ class RemoteError(NetworkError):
         remote_message: the remote exception's message text.
     """
 
-    def __init__(self, error_type: str, remote_message: str):
-        super().__init__(f"remote {error_type}: {remote_message}")
+    def __init__(self, error_type: str, remote_message: str | None = None):
+        if remote_message is None:
+            # Rebuilt from its one pre-formatted message when it crosses
+            # the network again (``type(exc)(*exc.args)``): keep the text
+            # unchanged and recover the parts from it.
+            message = error_type
+            error_type, _, remote_message = message.removeprefix("remote ").partition(": ")
+        else:
+            message = f"remote {error_type}: {remote_message}"
+        super().__init__(message)
         self.error_type = error_type
         self.remote_message = remote_message
 

@@ -192,6 +192,27 @@ class TestErrorMarshalling:
             t.rpc("a", "b", "x", {})
         assert exc_info.value.error_type == "KeyError"
 
+    def test_nested_remote_error_round_trips(self):
+        # b's handler calls c, whose failure reaches b as a RemoteError;
+        # b lets it escape, so a's transport rebuilds it from its args.
+        t = make_transport()
+        attach(t, "a")
+
+        def failing(msg):
+            raise KeyError("oops")
+
+        def forwarding(msg):
+            return t.rpc("b", "c", "inner", {})
+
+        attach(t, "b", handler=forwarding)
+        attach(t, "c", handler=failing)
+        with pytest.raises(RemoteError) as exc_info:
+            t.rpc("a", "b", "outer", {})
+        err = exc_info.value
+        assert str(err) == "remote KeyError: 'oops'"
+        assert err.error_type == "KeyError"
+        assert err.remote_message == "'oops'"
+
     def test_none_result_becomes_empty_dict(self):
         t = make_transport()
         attach(t, "a")
