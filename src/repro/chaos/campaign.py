@@ -600,9 +600,10 @@ class ChaosCampaign:
         # WAL baselines: snapshot + journal per store, from here on.
         baselines = {u: export_store(world.node(u).store) for u in users}
         journals: dict[str, ChangeJournal] = {}
+        detach_journals = []
         for user in users:
             journals[user] = ChangeJournal(metrics=world.metrics, metrics_node=user)
-            attach_journal(world.node(user).store, journals[user])
+            detach_journals.append(attach_journal(world.node(user).store, journals[user]))
 
         if schedule is None:
             if cfg.schedule_json is not None:
@@ -651,6 +652,11 @@ class ChaosCampaign:
         world.run_for(cfg.settle)
 
         violations = run_invariant_checks(app, world, baselines, journals)
+        # The checks were the journals' only reader. Detached, they are
+        # freed with this frame instead of living on in the finished
+        # world until a full garbage collection reclaims its cycles.
+        for detach in detach_journals:
+            detach()
         for violation in violations:
             log(f"VIOLATION {violation}")
         # SLO evaluation over the episode's merged per-op digests —

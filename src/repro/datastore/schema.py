@@ -3,6 +3,14 @@
 In SyD every device owns an *independent* store — there is no global
 schema (paper §2). Each store still declares per-table schemas so that
 rows are validated at the edge, like the Oracle tables of the prototype.
+
+Validation is compiled once per column: each :class:`Column` keeps the
+exact builtin types its :class:`ColumnType` accepts (plus ``NoneType``
+when nullable), so the common value costs one set lookup. Anything else
+(a ``None`` that is not allowed, subclasses, JSON containers) takes the
+full check, :meth:`ColumnType.accepts`, and JSON containers are walked
+with an explicit stack, so nesting depth is unbounded. The accepted set
+and every :class:`SchemaError` text are the same on both paths.
 """
 
 from __future__ import annotations
@@ -57,14 +65,85 @@ class ColumnType(str, Enum):
         return value
 
 
+_NONE = type(None)
+#: exact types of the JSON leaves
+_SCALARS = frozenset({str, int, float, bool, _NONE})
+
+#: marks the end of a container's children on the JSON walk stack
+_LEAVE = object()
+
+
 def _is_jsonish(value: Any) -> bool:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return True
-    if isinstance(value, (list, tuple)):
-        return all(_is_jsonish(v) for v in value)
-    if isinstance(value, dict):
-        return all(isinstance(k, str) and _is_jsonish(v) for k, v in value.items())
-    return False
+    """True for None, bool/int/float/str and lists, tuples and str-keyed
+    dicts of those (subclasses included), nested to any depth.
+
+    One iterative walk. A container whose children are all plain
+    scalars is settled in place; any other is expanded onto an explicit
+    stack, followed by ``_LEAVE`` and its id, so the ids on ``path`` are
+    exactly the containers enclosing the current value. A container
+    that contains itself is rejected; one shared by two branches is
+    walked twice and accepted.
+    """
+    stack = [value]
+    path: set[int] = set()
+    while stack:
+        v = stack.pop()
+        t = v.__class__
+        if t in _SCALARS:
+            continue
+        if v is _LEAVE:
+            path.discard(stack.pop())
+            continue
+        if t is list or t is tuple or (t is not dict and isinstance(v, (list, tuple))):
+            children = v
+        elif isinstance(v, dict):
+            for k in v:
+                if k.__class__ is not str and not isinstance(k, str):
+                    return False
+            children = v.values()
+        elif isinstance(v, (bool, int, float, str)):
+            continue
+        else:
+            return False
+        for child in children:
+            if child.__class__ not in _SCALARS:
+                break
+        else:
+            continue
+        key = id(v)
+        if key in path:
+            return False
+        path.add(key)
+        stack.append(key)
+        stack.append(_LEAVE)
+        stack.extend(children)
+    return True
+
+
+_BUILTINS = {
+    ColumnType.INT: {int},
+    ColumnType.FLOAT: {int, float},
+    ColumnType.STR: {str},
+    ColumnType.BOOL: {bool},
+    ColumnType.JSON: {bool, int, float, str},
+}
+#: (type, nullable) -> exact builtin types accepted without a closer look
+_EXACT: dict[tuple[ColumnType, bool], frozenset[type]] = {
+    (ctype, nullable): frozenset(types | {_NONE} if nullable else types)
+    for ctype, types in _BUILTINS.items()
+    for nullable in (False, True)
+}
+#: type -> its full check (``ColumnType.accepts``; the JSON walk directly)
+_ACCEPTS: dict[ColumnType, Any] = {ctype: ctype.accepts for ctype in ColumnType}
+_ACCEPTS[ColumnType.JSON] = _is_jsonish
+
+
+def _show(value: Any) -> str:
+    """``repr(value)`` for an error message, even when nesting defeats repr."""
+    try:
+        return repr(value)
+    except RecursionError:
+        return f"<{type(value).__name__} nested too deeply to show>"
 
 
 @dataclass(frozen=True)
@@ -85,19 +164,30 @@ class Column:
     nullable: bool = False
     default: Any = _NO_DEFAULT
 
+    #: exact types that fit without a closer look (None too, if nullable)
+    exact: frozenset = field(init=False, repr=False, compare=False)
+    #: the full type check for everything else
+    accepts: Any = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "exact", _EXACT[self.ctype, bool(self.nullable)])
+        object.__setattr__(self, "accepts", _ACCEPTS[self.ctype])
+
     @property
     def has_default(self) -> bool:
         return self.default is not _NO_DEFAULT
 
     def validate(self, value: Any) -> None:
         """Raise :class:`SchemaError` unless ``value`` fits this column."""
+        if value.__class__ in self.exact:
+            return
         if value is None:
             if not self.nullable:
                 raise SchemaError(f"column {self.name!r} is not nullable")
             return
-        if not self.ctype.accepts(value):
+        if not self.accepts(value):
             raise SchemaError(
-                f"column {self.name!r} expects {self.ctype.value}, got {value!r}"
+                f"column {self.name!r} expects {self.ctype.value}, got {_show(value)}"
             )
 
 
@@ -109,6 +199,9 @@ class Schema:
     primary_key: str
 
     _by_name: dict = field(default=None, repr=False, compare=False)
+    #: per column, in order: (name, column, exact types, full type check,
+    #: insert fill value)
+    _plan: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         names = [c.name for c in self.columns]
@@ -120,6 +213,16 @@ class Schema:
         if pk_col.nullable:
             raise SchemaError("primary key column cannot be nullable")
         object.__setattr__(self, "_by_name", {c.name: c for c in self.columns})
+        object.__setattr__(self, "_plan", tuple(
+            (
+                c.name,
+                c,
+                c.exact,
+                c.accepts,
+                c.default if c.has_default else None if c.nullable else _NO_DEFAULT,
+            )
+            for c in self.columns
+        ))
 
     @property
     def column_names(self) -> list[str]:
@@ -137,27 +240,31 @@ class Schema:
 
     def normalize_insert(self, row: dict[str, Any]) -> dict[str, Any]:
         """Validate an insert payload and fill defaults; returns a new dict."""
-        unknown = set(row) - set(self._by_name)
-        if unknown:
+        if not row.keys() <= self._by_name.keys():
+            unknown = set(row) - set(self._by_name)
             raise SchemaError(f"unknown columns {sorted(unknown)}")
         out: dict[str, Any] = {}
-        for col in self.columns:
-            if col.name in row:
-                value = row[col.name]
-            elif col.has_default:
-                value = col.default
-            elif col.nullable:
-                value = None
+        for name, col, exact, accepts, fill in self._plan:
+            if name in row:
+                value = row[name]
+            elif fill is _NO_DEFAULT:
+                raise SchemaError(f"missing required column {name!r}")
             else:
-                raise SchemaError(f"missing required column {col.name!r}")
-            col.validate(value)
-            out[col.name] = value
+                value = fill
+            if value.__class__ not in exact and (value is None or not accepts(value)):
+                col.validate(value)  # raises with the column's message
+            out[name] = value
         return out
 
     def validate_update(self, changes: dict[str, Any]) -> None:
         """Validate an update payload (no defaults involved)."""
+        by_name = self._by_name
         for name, value in changes.items():
-            self.column(name).validate(value)
+            col = by_name.get(name)
+            if col is None:
+                raise SchemaError(f"no column {name!r}")
+            if value.__class__ not in col.exact and (value is None or not col.accepts(value)):
+                col.validate(value)  # raises with the column's message
         if self.primary_key in changes:
             raise SchemaError("updating the primary key is not supported")
 

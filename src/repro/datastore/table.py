@@ -2,15 +2,17 @@
 
 This is the storage engine under :class:`repro.datastore.store.RelationalStore`.
 Rows are plain dicts; the table returns *copies* so callers can never
-corrupt storage by mutating a result. Equality predicates on indexed
-columns are served from the index (see ``equality_bindings``).
+corrupt storage by mutating a result. A primary-key equality goes
+straight to its row; equality predicates on indexed columns are served
+from the index (see ``equality_bindings``).
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterable, Optional
 
-from repro.datastore.predicate import ALWAYS, Predicate, equality_bindings
+from repro.datastore.predicate import Cmp, Predicate, equality_bindings
 from repro.datastore.schema import Schema
 from repro.net.message import estimate_size
 from repro.util.errors import DuplicateKeyError, QueryError, SchemaError
@@ -22,6 +24,7 @@ class Table:
     def __init__(self, name: str, schema: Schema):
         self.name = name
         self.schema = schema
+        self._pk = schema.primary_key
         self._rows: dict[Any, dict[str, Any]] = {}
         # column -> value -> set of pks
         self._indexes: dict[str, dict[Any, set[Any]]] = {}
@@ -40,12 +43,12 @@ class Table:
         return sorted(self._indexes)
 
     def _index_add(self, row: dict[str, Any]) -> None:
-        pk = row[self.schema.primary_key]
+        pk = row[self._pk]
         for col, index in self._indexes.items():
             index.setdefault(_key(row[col]), set()).add(pk)
 
     def _index_remove(self, row: dict[str, Any]) -> None:
-        pk = row[self.schema.primary_key]
+        pk = row[self._pk]
         for col, index in self._indexes.items():
             bucket = index.get(_key(row[col]))
             if bucket is not None:
@@ -58,7 +61,7 @@ class Table:
     def insert(self, row: dict[str, Any]) -> dict[str, Any]:
         """Validate + store a new row; returns a copy of the stored row."""
         stored = self.schema.normalize_insert(row)
-        pk = stored[self.schema.primary_key]
+        pk = stored[self._pk]
         if pk in self._rows:
             raise DuplicateKeyError(f"{self.name}: duplicate primary key {pk!r}")
         self._rows[pk] = stored
@@ -87,7 +90,7 @@ class Table:
     def delete_rows(self, predicate: Predicate | None) -> list[dict[str, Any]]:
         """Remove matching rows; return copies of the removed rows."""
         removed = []
-        for pk in list(self._candidate_pks(predicate)):
+        for pk in self._candidate_pks(predicate):
             row = self._rows[pk]
             if predicate is not None and not predicate.matches(row):
                 continue
@@ -112,19 +115,22 @@ class Table:
         limit: int | None = None,
     ) -> list[dict[str, Any]]:
         """Filter, project, sort and truncate; returns row copies."""
-        pred = predicate or ALWAYS
-        rows = [
-            dict(self._rows[pk])
-            for pk in self._candidate_pks(predicate)
-            if pred.matches(self._rows[pk])
-        ]
+        if predicate is None:
+            rows = [dict(row) for row in self._rows.values()]
+        else:
+            matches, stored = predicate.matches, self._rows
+            rows = [
+                dict(row)
+                for row in map(stored.__getitem__, self._candidate_pks(predicate))
+                if matches(row)
+            ]
         if order_by is not None:
             if not self.schema.has_column(order_by):
                 raise QueryError(f"{self.name}: cannot order by unknown column {order_by!r}")
-            rows.sort(key=lambda r: _sort_key(r.get(order_by)), reverse=descending)
+            _sort_rows(rows, order_by, descending)
         else:
             # Deterministic order: by primary key.
-            rows.sort(key=lambda r: _sort_key(r[self.schema.primary_key]))
+            _sort_rows(rows, self._pk, False)
         if limit is not None:
             rows = rows[: max(limit, 0)]
         if columns is not None:
@@ -136,9 +142,10 @@ class Table:
         return rows
 
     def count(self, predicate: Predicate | None = None) -> int:
-        pred = predicate or ALWAYS
+        if predicate is None:
+            return len(self._rows)
         return sum(
-            1 for pk in self._candidate_pks(predicate) if pred.matches(self._rows[pk])
+            1 for pk in self._candidate_pks(predicate) if predicate.matches(self._rows[pk])
         )
 
     def __len__(self) -> int:
@@ -154,11 +161,18 @@ class Table:
     # -- planning ------------------------------------------------------------
 
     def _candidate_pks(self, predicate: Predicate | None) -> Iterable[Any]:
-        """Narrow the scan using pk/secondary-index equality terms."""
+        """Narrow the scan using pk/secondary-index equality terms.
+
+        Always a fresh sequence, so callers may mutate rows while they
+        iterate it. A lone primary-key equality skips the predicate walk.
+        """
         if predicate is None:
             return list(self._rows)
+        pk_col = self._pk
+        if predicate.__class__ is Cmp and predicate.op == "=" and predicate.column == pk_col:
+            pk = predicate.value
+            return (pk,) if pk in self._rows else ()
         bindings = equality_bindings(predicate)
-        pk_col = self.schema.primary_key
         if pk_col in bindings:
             pk = bindings[pk_col]
             return [pk] if pk in self._rows else []
@@ -173,6 +187,23 @@ def _key(value: Any) -> Any:
     if isinstance(value, (list, dict)):
         return repr(value)
     return value
+
+
+_STRS = frozenset({str})
+_NUMBERS = frozenset({int, float})
+
+
+def _sort_rows(rows: list[dict[str, Any]], column: str, descending: bool) -> None:
+    """Sort full rows by ``column`` in :func:`_sort_key` order, in place.
+
+    When every value is a str, or every value an int or float, the
+    values' own order is that order, so they serve as keys directly.
+    """
+    kinds = {r[column].__class__ for r in rows}
+    if kinds <= _STRS or kinds <= _NUMBERS:
+        rows.sort(key=itemgetter(column), reverse=descending)
+    else:
+        rows.sort(key=lambda r: _sort_key(r[column]), reverse=descending)
 
 
 def _sort_key(value: Any) -> tuple:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.datastore.predicate import Predicate
 from repro.util.errors import StoreError
@@ -33,9 +33,12 @@ class TriggerEvent(str, Enum):
     DELETE = "delete"
 
 
-@dataclass(frozen=True)
-class TriggerContext:
-    """What a trigger action sees: the mutation that just happened."""
+class TriggerContext(NamedTuple):
+    """What a trigger action sees: the mutation that just happened.
+
+    Immutable, and built once per fired mutation: every trigger that
+    reacts to the mutation receives the same context.
+    """
 
     event: TriggerEvent
     table: str
@@ -78,7 +81,9 @@ class TriggerManager:
     """Registry + dispatcher of row triggers for one store."""
 
     def __init__(self) -> None:
-        self._by_table: dict[str, list[RowTrigger]] = {}
+        # Copy-on-write tuples: ``fire`` iterates a snapshot for free, so
+        # actions may add or remove triggers while it runs.
+        self._by_table: dict[str, tuple[RowTrigger, ...]] = {}
         self._names: set[str] = set()
         self._depth = 0
 
@@ -87,18 +92,19 @@ class TriggerManager:
         if trigger.name in self._names:
             raise StoreError(f"duplicate trigger name {trigger.name!r}")
         self._names.add(trigger.name)
-        self._by_table.setdefault(trigger.table, []).append(trigger)
+        self._by_table[trigger.table] = (*self._by_table.get(trigger.table, ()), trigger)
 
         def remove() -> None:
-            lst = self._by_table.get(trigger.table, [])
-            if trigger in lst:
-                lst.remove(trigger)
+            current = self._by_table.get(trigger.table, ())
+            if trigger in current:
+                i = current.index(trigger)
+                self._by_table[trigger.table] = current[:i] + current[i + 1:]
                 self._names.discard(trigger.name)
 
         return remove
 
     def triggers_for(self, table: str) -> list[RowTrigger]:
-        return list(self._by_table.get(table, []))
+        return list(self._by_table.get(table, ()))
 
     def fire(
         self,
@@ -120,18 +126,22 @@ class TriggerManager:
             raise StoreError(
                 f"trigger cascade exceeded depth {MAX_TRIGGER_DEPTH} on {table!r}"
             )
-        subject = new if event in (TriggerEvent.INSERT, TriggerEvent.UPDATE) else old
+        # Inserts and updates carry a new row, deletes only the old one.
+        subject = old if new is None else new
+        ctx = None
         fired = 0
         self._depth += 1
         try:
-            for trig in list(triggers):
+            for trig in triggers:
                 if not trig.enabled or event not in trig.events:
                     continue
                 if trig.condition is not None and not trig.condition.matches(subject or {}):
                     continue
                 trig.fire_count += 1
                 fired += 1
-                trig.action(TriggerContext(event, table, old, new))
+                if ctx is None:
+                    ctx = TriggerContext(event, table, old, new)
+                trig.action(ctx)
         finally:
             self._depth -= 1
         return fired

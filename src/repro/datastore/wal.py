@@ -13,18 +13,20 @@ Used in two places:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.datastore.predicate import Cmp
 from repro.datastore.store import DataStore
 from repro.datastore.triggers import RowTrigger, TriggerContext, TriggerEvent
 from repro.util.errors import StoreError
 
+#: journal op name of each trigger event
+_OPS = {event: event.value for event in TriggerEvent}
+_ALL_EVENTS = frozenset(TriggerEvent)
 
-@dataclass(frozen=True)
-class JournalEntry:
-    """One recorded mutation.
+
+class JournalEntry(NamedTuple):
+    """One recorded mutation (immutable).
 
     ``op`` is insert/update/delete; ``row`` is the new row for inserts and
     updates, the old row for deletes. ``pk`` identifies the affected row.
@@ -60,17 +62,26 @@ class ChangeJournal:
     def __init__(self, metrics=None, metrics_node: str = "") -> None:
         self._entries: list[JournalEntry] = []
         self._seq = 0
-        self._metrics = metrics
         self._metrics_node = metrics_node
+        # Counter keys, made once; appends bump the registry's live
+        # counter map directly (same end state as ``metrics.inc``).
+        self._counters = metrics.counter_map() if metrics is not None else None
+        self._total_key = (metrics_node, "store.wal_appends")
+        self._op_keys = {
+            op: (metrics_node, f"store.wal_appends.{op}") for op in _OPS.values()
+        }
 
     def append(self, op: str, table: str, pk: Any, row: dict[str, Any]) -> JournalEntry:
         """Record one mutation; returns the entry."""
         self._seq += 1
         entry = JournalEntry(self._seq, op, table, pk, dict(row))
         self._entries.append(entry)
-        if self._metrics is not None:
-            self._metrics.inc(self._metrics_node, "store.wal_appends")
-            self._metrics.inc(self._metrics_node, f"store.wal_appends.{op}")
+        counters = self._counters
+        if counters is not None:
+            key = self._total_key
+            counters[key] = counters.get(key, 0) + 1
+            key = self._op_keys.get(op) or (self._metrics_node, f"store.wal_appends.{op}")
+            counters[key] = counters.get(key, 0) + 1
         return entry
 
     def entries(self, since_seq: int = 0) -> list[JournalEntry]:
@@ -107,26 +118,28 @@ def attach_journal(store: DataStore, journal: ChangeJournal) -> Callable[[], Non
 
     Implemented with a wildcard-ish set of row triggers on all current
     tables. Tables created afterwards are not covered (attach after
-    schema setup). Returns a detach callable.
+    schema setup); each trigger keeps the primary-key column its table
+    had at attach time. Returns a detach callable.
     """
     removers = []
 
-    def action(ctx: TriggerContext) -> None:
-        schema = store.schema(ctx.table)
-        if ctx.event is TriggerEvent.DELETE:
-            row = ctx.old or {}
-        else:
-            row = ctx.new or {}
-        journal.append(ctx.event.value, ctx.table, row.get(schema.primary_key), row)
+    def make_action(pk: str) -> Callable[[TriggerContext], None]:
+        def action(ctx: TriggerContext) -> None:
+            event, table, old, new = ctx
+            if event is TriggerEvent.DELETE:
+                row = old or {}
+            else:
+                row = new or {}
+            journal.append(_OPS[event], table, row.get(pk), row)
+
+        return action
 
     for i, table in enumerate(store.table_names()):
         trig = RowTrigger(
             name=f"__journal_{store.name}_{table}_{i}",
             table=table,
-            events=frozenset(
-                (TriggerEvent.INSERT, TriggerEvent.UPDATE, TriggerEvent.DELETE)
-            ),
-            action=action,
+            events=_ALL_EVENTS,
+            action=make_action(store.schema(table).primary_key),
         )
         removers.append(store.add_trigger(trig))
 

@@ -43,6 +43,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.datastore.predicate import Cmp
+from repro.datastore.schema import ColumnType, schema
+
 #: admit() verdicts
 EXECUTE = "execute"    # first sighting: run the handler, then record()
 REPLAY = "replay"      # duplicate with cached reply: return/raise it
@@ -126,9 +129,12 @@ class DedupTable:
     ) -> None:
         """Cache the reply of an executed key and advance the watermark."""
         self.executions += 1
-        state = self._senders.setdefault(sender, _SenderState(incarnation))
-        self._replies[(sender, incarnation, seq)] = reply
-        self._replies.move_to_end((sender, incarnation, seq))
+        state = self._senders.get(sender)
+        if state is None:
+            state = self._senders[sender] = _SenderState(incarnation)
+        key = (sender, incarnation, seq)
+        self._replies[key] = reply
+        self._replies.move_to_end(key)
         while len(self._replies) > self.capacity:
             self._replies.popitem(last=False)
             self.evicted += 1
@@ -192,8 +198,6 @@ class DedupPersistence:
     TABLE = "_syd_dedup"
 
     def __init__(self, store):
-        from repro.datastore.schema import ColumnType, schema
-
         self.store = store
         if not store.has_table(self.TABLE):
             store.create_table(
@@ -208,17 +212,14 @@ class DedupPersistence:
             )
 
     def save(self, sender: str, state: _SenderState) -> None:
-        from repro.datastore.predicate import where
-
+        """One primary-key-addressed update; an insert for a new sender."""
         fields = {
             "incarnation": state.incarnation,
             "contig": state.contig,
             "pending": sorted(state.pending),
         }
-        if self.store.get(self.TABLE, sender) is None:
+        if not self.store.update(self.TABLE, Cmp("sender", "=", sender), fields):
             self.store.insert(self.TABLE, {"sender": sender, **fields})
-        else:
-            self.store.update(self.TABLE, where("sender") == sender, fields)
 
     def load(self) -> dict[str, _SenderState]:
         return {

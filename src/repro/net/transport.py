@@ -755,16 +755,17 @@ class Transport:
         self.stats.record_duplicate()
         # A duplicate belongs to the trace of the original request: re-enter
         # its context (a scheduler-fired redelivery otherwise has no parent).
-        activate = (
-            self.tracer.activate(msg.trace) if self.tracer is not None else nullcontext()
-        )
-        # ``deferred`` marks the span as temporally detached from its
+        tracer = self.tracer
+        activate = tracer.activate(msg.trace) if tracer is not None else nullcontext()
+        # ``deferred`` marks a span as temporally detached from its
         # parent: a scheduler-fired redelivery lands long after the
         # original rpc span closed, so the chrome-trace containment
         # validator (and the attribution partition) must not expect it
-        # inside the parent's interval.
-        with activate, maybe_span(
-            self.tracer, "net.redeliver", msg.src, dst=msg.dst, kind=msg.kind,
+        # inside the parent's interval. That holds for ``net.redeliver``
+        # and for the handler span that re-enters the same context.
+        deferring = tracer.deferring(msg.trace) if tracer is not None else nullcontext()
+        with activate, deferring, maybe_span(
+            tracer, "net.redeliver", msg.src, dst=msg.dst, kind=msg.kind,
             deferred=True,
         ):
             try:

@@ -331,6 +331,25 @@ class Tracer:
         finally:
             self._stack = saved
 
+    @contextmanager
+    def deferring(self, ctx: tuple[str, str] | None) -> Iterator[None]:
+        """Mark every span the block opens directly under ``ctx`` as deferred.
+
+        For late redeliveries: a handler re-enters the context stamped on
+        the message, whose span closed long before the duplicate arrived,
+        so its spans cannot lie inside that span's interval. Only the
+        ``deferred`` attribute is added; span ids and parents stay as they
+        are.
+        """
+        start = len(self._spans)
+        try:
+            yield
+        finally:
+            if ctx is not None:
+                for span in self._spans[start:]:
+                    if span.parent_id == ctx[1]:
+                        span.attrs["deferred"] = True
+
     def spans(self) -> list[Span]:
         """All recorded spans, in open order."""
         return list(self._spans)

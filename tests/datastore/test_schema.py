@@ -128,3 +128,43 @@ def test_schema_helper_with_full_columns():
     s = schema("k", k=ColumnType.STR, v=Column("ignored", ColumnType.INT, default=0))
     assert s.column("v").default == 0
     assert s.column("v").name == "v"
+
+
+class TestDeepJson:
+    """JSON values are checked with an explicit stack, like message sizing."""
+
+    @staticmethod
+    def _nested(leaf, depth=5_000):
+        value = [leaf]
+        for _ in range(depth):
+            value = [value]
+        return value
+
+    def _store(self):
+        from repro.datastore.store import RelationalStore
+
+        store = RelationalStore("deep")
+        store.create_table("t", schema("id", id=ColumnType.INT, doc=ColumnType.JSON))
+        return store
+
+    def test_deeply_nested_json_is_accepted(self):
+        store = self._store()
+        deep = self._nested(1)  # would RecursionError if the check recursed
+        assert store.insert("t", {"id": 1, "doc": deep})["doc"] is deep
+        assert store.update("t", None, {"doc": self._nested({"k": "v"})}) == 1
+
+    def test_bad_leaf_at_depth_5000_is_rejected(self):
+        store = self._store()
+        with pytest.raises(SchemaError, match="column 'doc' expects json"):
+            store.insert("t", {"id": 1, "doc": self._nested(b"bytes")})
+        assert store.count("t") == 0
+
+    def test_self_containing_value_is_rejected(self):
+        loop = [1]
+        loop.append(loop)
+        with pytest.raises(SchemaError, match=r"got \[1, \[\.\.\.\]\]"):
+            Column("doc", ColumnType.JSON).validate(loop)
+
+    def test_shared_branch_is_accepted(self):
+        shared = {"a": [1, 2]}
+        assert ColumnType.JSON.accepts([shared, shared, {"again": shared}])

@@ -1,10 +1,12 @@
 """Tests for the table engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datastore.predicate import where
 from repro.datastore.schema import Column, ColumnType, schema
-from repro.datastore.table import Table
+from repro.datastore.table import Table, _sort_key
 from repro.util.errors import DuplicateKeyError, QueryError, SchemaError
 
 
@@ -162,3 +164,40 @@ def test_storage_bytes_positive_and_grows():
     before = t.storage_bytes()
     t.insert({"slot_id": 50, "status": "free", "hour": 9, "owner": "someone"})
     assert t.storage_bytes() > before > 0
+
+
+_mixed_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(alphabet="ab", max_size=2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.one_of(
+        st.lists(_mixed_values, max_size=12),
+        st.lists(st.text(alphabet="abc", max_size=3), max_size=12),
+        st.lists(st.one_of(st.integers(-3, 3), st.floats(allow_nan=True)), max_size=12),
+    ),
+    descending=st.booleans(),
+)
+def test_select_order_is_the_sort_key_order(values, descending):
+    t = Table("t", schema("id", id=ColumnType.INT, v=Column("", ColumnType.JSON, nullable=True)))
+    for i, v in enumerate(values):
+        t.insert({"id": i, "v": v})
+    got = [r["id"] for r in t.select(order_by="v", descending=descending)]
+    want = sorted(range(len(values)), key=lambda i: _sort_key(values[i]), reverse=descending)
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(pks=st.lists(st.one_of(st.integers(-5, 5), st.floats(-5, 5)), unique=True, max_size=12))
+def test_default_order_is_by_primary_key(pks):
+    t = Table("t", schema("id", id=ColumnType.FLOAT))
+    for pk in pks:
+        t.insert({"id": pk})
+    assert [r["id"] for r in t.select()] == sorted(pks, key=_sort_key)

@@ -1,6 +1,10 @@
 """Unit tests for the receiver-side dedup table (repro.net.dedup)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.datastore.store import RelationalStore
+from repro.datastore.wal import ChangeJournal, attach_journal
 from repro.net.dedup import (
     EXECUTE,
     FENCED,
@@ -136,3 +140,43 @@ class TestPersistenceAndRestart:
         table.record("a", 1, 2, {"result": 2})
         assert len(store.select(DedupPersistence.TABLE)) == 1
         assert DedupPersistence(store).load()["a"].contig == 2
+
+
+class TestPersistedWatermarks:
+    """The ``_syd_dedup`` rows track the in-memory watermarks write for write."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        orders=st.lists(
+            st.permutations(list(range(1, 9))).flatmap(
+                lambda seqs: st.integers(0, 8).map(lambda n: seqs[:n])
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+        interleave=st.randoms(use_true_random=False),
+    )
+    def test_rows_equal_watermarks_and_one_journal_entry_per_record(self, orders, interleave):
+        store = RelationalStore("n")
+        persist = DedupPersistence(store)
+        journal = ChangeJournal()
+        attach_journal(store, journal)
+        table = DedupTable(persist=persist)
+        calls = [(sender, seq) for sender, seqs in zip("abc", orders) for seq in seqs]
+        interleave.shuffle(calls)
+        for sender, seq in calls:
+            table.record(sender, 1, seq, {"result": seq})
+
+        def watermarks(senders):
+            return {s: (w.incarnation, w.contig, sorted(w.pending)) for s, w in senders.items()}
+
+        before = watermarks(table._senders)
+        rows = {
+            r["sender"]: (r["incarnation"], r["contig"], r["pending"])
+            for r in store.select(DedupPersistence.TABLE)
+        }
+        assert rows == before
+        assert len(journal) == len(calls)
+        assert [e.op for e in journal.entries()].count("insert") == len(rows)
+        table.restart()
+        assert watermarks(table._senders) == before

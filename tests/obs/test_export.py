@@ -164,3 +164,34 @@ class TestSpanTree:
             with tracer.span("bad", "n"):
                 raise RuntimeError("x")
         assert "!RuntimeError" in render_span_tree(tracer.spans())
+
+
+class TestLateRedelivery:
+    def test_deferring_marks_only_direct_reentries(self):
+        clock = VirtualClock()
+        tracer = Tracer(clock)
+        with tracer.span("rpc", "a"):
+            ctx = tracer.current_context()
+            clock.advance(0.010)
+        clock.advance(1.0)
+        with tracer.activate(ctx), tracer.deferring(ctx):
+            with tracer.span("handle", "b"):
+                with tracer.span("nested", "b"):
+                    clock.advance(0.001)
+        rpc, handle, nested = tracer.spans()
+        assert handle.parent_id == rpc.span_id
+        assert handle.attrs == {"deferred": True}
+        assert nested.parent_id == handle.span_id and nested.attrs == {}
+        validate_chrome_trace(chrome_trace(tracer.spans()))
+
+    def test_mixed_episode_with_a_late_duplicate_exports(self):
+        # Episode 0 of the default campaign redelivers a directory lookup
+        # after its rpc span closed; its handler span used to escape it.
+        from repro.chaos import ChaosCampaign, ChaosConfig
+
+        campaign = ChaosCampaign(ChaosConfig(seed=7, profile="mixed", shrink=False))
+        campaign.run_episode(0, quiet=True)
+        spans = campaign.last_world.tracer.spans()
+        late = [s for s in spans if s.name.startswith("handle:") and s.attrs.get("deferred")]
+        assert late
+        validate_chrome_trace(chrome_trace(spans))
