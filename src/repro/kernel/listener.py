@@ -159,16 +159,19 @@ class SyDListener:
         :class:`StaleMessageError`. First sightings execute and their
         outcome is recorded.
 
-        With a tracer wired, dispatch re-enters the context stamped on
-        the message, so everything below — including the dedup verdict —
-        lands as a child span of the caller's RPC span.
+        With an enabled tracer wired, dispatch re-enters the context
+        stamped on the message, so everything below — including the dedup
+        verdict — lands as a child span of the caller's RPC span. With no
+        tracer or a disabled one, dispatch runs directly: a disabled tracer
+        would open only ``NULL_SPAN`` frames, and senders stamp no context.
         """
-        if self.tracer is None:
+        tracer = self.tracer
+        if tracer is None or not tracer.enabled:
             return self._dispatch(msg, NULL_SPAN)
         payload = msg.payload
         name = f"handle:{payload.get('object', '?')}.{payload.get('method', '?')}"
-        with self.tracer.activate(msg.trace):
-            with self.tracer.span(name, self.node_id, src=msg.src) as span:
+        with tracer.activate(msg.trace):
+            with tracer.span(name, self.node_id, src=msg.src) as span:
                 return self._dispatch(msg, span)
 
     def _dispatch(self, msg: Message, span) -> dict[str, Any]:
@@ -228,15 +231,24 @@ class SyDListener:
         fn = self.registry.lookup(object_name, method)
         if key is not None:
             self.effects[key] += 1
-            if self.tracer is not None:
-                ctx = self.tracer.current_context()
+            tracer = self.tracer
+            if tracer is not None and tracer.enabled:
+                ctx = tracer.current_context()
                 if ctx is not None:
                     self.effect_traces[key] = ctx[0]
-        if self.metrics is not None:
-            with self.metrics.timer(self.node_id, f"kernel.dispatch.{method}"):
-                result = fn(*args, **kwargs)
-        else:
+        metrics = self.metrics
+        if metrics is None:
             result = fn(*args, **kwargs)
+        else:
+            # Two clock reads and an observe: what ``metrics.timer`` does,
+            # without a generator context manager per invocation. A
+            # raising handler still gets its sample.
+            now = metrics.clock.now
+            start = now()
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                metrics.observe(self.node_id, f"kernel.dispatch.{method}", now() - start)
         self.invocations += 1
         self._metric("kernel.invocations")
         for hook in list(self._post_hooks):

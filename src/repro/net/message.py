@@ -12,8 +12,9 @@ cache would go stale if a payload dict were mutated after first access),
 and the transport may pass the id as a ``(prefix, counter)`` pair so the
 ``"msg-1234"`` string is only formatted if something actually reads
 ``msg_id`` (error messages, chaos dup tracking, diagrams). Size
-estimation walks containers with an explicit stack instead of recursion,
-so deeply nested payloads cannot hit the interpreter recursion limit.
+estimation is one pass with an explicit stack instead of recursion, so
+deeply nested payloads cannot hit the interpreter recursion limit; only
+containers are pushed, and scalar children are priced where they stand.
 """
 
 from __future__ import annotations
@@ -26,74 +27,70 @@ _HEADER_BYTES = 32
 def estimate_size(value: Any) -> int:
     """Rough wire size in bytes of a JSON-like value.
 
-    Iterative (explicit work stack) so arbitrarily deep payloads are
-    safe; byte totals are identical to the old recursive walk because
-    every node contributes a fixed local cost and addition commutes.
-    The branch chain tests exact types inline (no dispatch-table calls);
-    exact-type tests keep bool (an int subclass) in its own 1-byte
-    branch, and subclasses of the builtin types fall through to the
-    isinstance ladder the recursive version used.
+    One iterative walk (explicit work stack, so arbitrarily deep payloads
+    are safe) in which every node adds a fixed local cost:
+
+    * ``str``: 2 + its UTF-8 length; an ASCII string is priced by ``len``
+      (``str.isascii`` is O(1)), so only non-ASCII strings are encoded;
+    * ``int``/``float``: 8; ``bool``/``None``: 1; ``bytes``: 2 + length;
+    * ``dict``/``list``/``tuple``: 2 plus their keys and items;
+    * anything else: 2 + ``len(repr(v))``.
+
+    Only containers and unusual values go on the stack: the exact-typed
+    scalar children of a ``dict``, ``list`` or ``tuple`` are priced
+    inline. Anything else popped (a top-level scalar, a non-``str`` key,
+    ``bytes``, a subclass of a builtin type) takes the ``isinstance``
+    ladder, which prices a subclass as its base type (``bool`` before
+    ``int``).
     """
-    if value.__class__ is dict:
-        # Fast pre-scan for the dominant shape: a flat dict with str keys
-        # and scalar values. Bails to the general walk (from scratch, so
-        # nothing is double-counted) on the first non-scalar entry.
-        total = 2
-        for k, v in value.items():
-            tv = v.__class__
-            if k.__class__ is str and (
-                tv is str or tv is int or tv is float or tv is bool or v is None
-            ):
-                total += 2 + len(k.encode("utf-8"))
-                if tv is str:
-                    total += 2 + len(v.encode("utf-8"))
-                elif tv is bool or v is None:
-                    total += 1
-                else:
-                    total += 8
-            else:
-                break
-        else:
-            return total
     total = 0
     stack = [value]
     pop = stack.pop
+    push = stack.append
     while stack:
         v = pop()
         t = v.__class__
-        if t is str:
-            total += 2 + len(v.encode("utf-8"))
-        elif t is int or t is float:
-            total += 8
-        elif t is dict:
+        if t is dict:
             total += 2
-            stack.extend(v.keys())
-            stack.extend(v.values())
-        elif v is None or t is bool:
-            total += 1
+            for k in v:
+                if k.__class__ is str:
+                    total += 2 + (len(k) if k.isascii() else len(k.encode("utf-8")))
+                else:
+                    push(k)
+            items = v.values()
         elif t is list or t is tuple:
             total += 2
-            stack.extend(v)
-        elif t is bytes:
-            total += 2 + len(v)
-        elif isinstance(v, bool):
-            total += 1
-        elif isinstance(v, (int, float)):
-            total += 8
-        elif isinstance(v, str):
-            total += 2 + len(v.encode("utf-8"))
-        elif isinstance(v, bytes):
-            total += 2 + len(v)
-        elif isinstance(v, (list, tuple)):
-            total += 2
-            stack.extend(v)
-        elif isinstance(v, dict):
-            total += 2
-            stack.extend(v.keys())
-            stack.extend(v.values())
+            items = v
         else:
-            # Fallback for dataclasses / misc objects: use repr length.
-            total += 2 + len(repr(v))
+            if v is None or isinstance(v, bool):
+                total += 1
+            elif isinstance(v, (int, float)):
+                total += 8
+            elif isinstance(v, str):
+                total += 2 + len(v.encode("utf-8"))
+            elif isinstance(v, bytes):
+                total += 2 + len(v)
+            elif isinstance(v, (list, tuple)):
+                total += 2
+                stack.extend(v)
+            elif isinstance(v, dict):
+                total += 2
+                stack.extend(v.keys())
+                stack.extend(v.values())
+            else:
+                # Fallback for dataclasses / misc objects: use repr length.
+                total += 2 + len(repr(v))
+            continue
+        for x in items:
+            tx = x.__class__
+            if tx is str:
+                total += 2 + (len(x) if x.isascii() else len(x.encode("utf-8")))
+            elif tx is int or tx is float:
+                total += 8
+            elif x is None or tx is bool:
+                total += 1
+            else:
+                push(x)
     return total
 
 

@@ -51,7 +51,7 @@ keys become stale and its sequence numbering restarts.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.net.address import NodeAddress
@@ -232,13 +232,17 @@ class Transport:
         """Pre-stamp a batch of legs with idempotency keys.
 
         Used by ``rpc_many_with_retry`` so a re-sent leg carries the same
-        key as the original attempt. Already-stamped legs are kept as-is.
+        key as the original attempt. Already-stamped legs are kept as-is;
+        the others are rebuilt directly (``dataclasses.replace`` would
+        re-inspect the fields on every leg).
         """
         legs = [c if isinstance(c, RpcCall) else RpcCall(*c) for c in calls]
         if not self.stamp_dedup:
             return legs
         return [
-            leg if leg.dedup is not None else replace(leg, dedup=self.next_dedup(src, leg.dst))
+            leg
+            if leg.dedup is not None
+            else RpcCall(leg.dst, leg.kind, leg.payload, self.next_dedup(src, leg.dst))
             for leg in legs
         ]
 

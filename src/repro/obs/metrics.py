@@ -60,7 +60,8 @@ class MetricsRegistry:
     """Counters, gauges and virtual-time histograms keyed by ``(node, name)``."""
 
     def __init__(self, clock: VirtualClock | None = None):
-        self._clock = clock or VirtualClock()
+        #: virtual clock read by timers and digest windows
+        self.clock = clock or VirtualClock()
         self._counters: dict[tuple[str, str], float] = {}
         self._gauges: dict[tuple[str, str], float] = {}
         self._hists: dict[tuple[str, str], dict[str, Any]] = {}
@@ -125,7 +126,7 @@ class MetricsRegistry:
         the digest's fixed relative-error bound.
         """
         windows = self._digests.setdefault((node, name), {})
-        index = int(self._clock.now() // self.digest_window)
+        index = int(self.clock.now() // self.digest_window)
         digest = windows.get(index)
         if digest is None:
             digest = windows[index] = QuantileDigest()
@@ -134,11 +135,11 @@ class MetricsRegistry:
     @contextmanager
     def timer(self, node: str, name: str) -> Iterator[None]:
         """Observe the virtual-clock duration of the enclosed block."""
-        start = self._clock.now()
+        start = self.clock.now()
         try:
             yield
         finally:
-            self.observe(node, name, self._clock.now() - start)
+            self.observe(node, name, self.clock.now() - start)
 
     # -- readers ---------------------------------------------------------
 

@@ -1,5 +1,11 @@
 """Tests for message size estimation."""
 
+import enum
+from dataclasses import dataclass
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.net.message import Message, estimate_size
 
 
@@ -87,9 +93,9 @@ def test_noncanonical_dedup_shapes_use_general_estimator():
 
 
 def test_mixed_flat_and_nested_dicts_price_identically():
-    # The flat-dict pre-scan bails to the general walk without double
-    # counting; a dict that is flat except one nested value must equal
-    # the sum of its parts.
+    # Scalars priced inline and containers pushed on the stack add up:
+    # a dict that is flat except one nested value must equal the sum of
+    # its parts.
     flat_part = {"a": 1, "b": "x"}
     nested = dict(flat_part)
     nested["c"] = [1, 2]
@@ -98,3 +104,127 @@ def test_mixed_flat_and_nested_dicts_price_identically():
 
 def test_bool_and_none_sizes_survive_the_fast_scan():
     assert estimate_size({"t": True, "f": False, "n": None}) == 2 + 3 * (2 + 1 + 1)
+
+
+# -- exactness against a recursive reference ----------------------------------
+
+
+class IntSub(int):
+    pass
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class FloatSub(float):
+    pass
+
+
+class StrSub(str):
+    pass
+
+
+class ListSub(list):
+    pass
+
+
+class TupleSub(tuple):
+    pass
+
+
+class DictSub(dict):
+    pass
+
+
+@dataclass(frozen=True)
+class Opaque:
+    """Priced by the ``repr`` fallback."""
+
+    label: str
+
+
+def _reference(v) -> int:
+    """The wire-size rules, one recursive case per type family."""
+    if v is None or isinstance(v, bool):
+        return 1
+    if isinstance(v, (int, float)):
+        return 8
+    if isinstance(v, str):
+        return 2 + len(v.encode("utf-8"))
+    if isinstance(v, bytes):
+        return 2 + len(v)
+    if isinstance(v, (list, tuple)):
+        return 2 + sum(_reference(x) for x in v)
+    if isinstance(v, dict):
+        return 2 + sum(_reference(k) + _reference(x) for k, x in v.items())
+    return 2 + len(repr(v))
+
+
+_text = st.one_of(st.text(max_size=6), st.text(alphabet="aé€😀", max_size=6))
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    _text,
+    st.binary(max_size=6),
+    st.builds(IntSub, st.integers()),
+    st.sampled_from(Level),
+    st.builds(FloatSub, st.floats(allow_nan=False)),
+    st.builds(StrSub, _text),
+    st.builds(Opaque, _text),
+    st.complex_numbers(allow_nan=False),
+)
+_keys = st.one_of(
+    _text,
+    st.integers(),
+    st.none(),
+    st.booleans(),
+    st.binary(max_size=4),
+    st.builds(StrSub, _text),
+    st.tuples(st.integers(), _text),
+    st.frozensets(st.integers(), max_size=3),
+)
+_values = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(ListSub),
+        st.lists(children, max_size=4).map(TupleSub),
+        st.dictionaries(_keys, children, max_size=4),
+        st.dictionaries(_keys, children, max_size=4).map(DictSub),
+    ),
+    max_leaves=20,
+)
+
+#: one layer of nesting around a value, for the deep case
+_WRAPPERS = {
+    "list": lambda x: [x],
+    "tuple": lambda x: (x,),
+    "dict": lambda x: {"ключ": x},
+    "dict_sub": lambda x: DictSub({7: x}),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    value=_values,
+    wrapper=st.sampled_from(sorted(_WRAPPERS)),
+    depth=st.sampled_from([0, 1, 5000]),
+)
+def test_estimate_size_matches_recursive_reference(value, wrapper, depth):
+    wrap = _WRAPPERS[wrapper]
+    # The reference recurses, so a deep value is priced as the inner
+    # value plus ``depth`` times the cost of one wrapper layer.
+    layer = _reference(wrap(None)) - _reference(None)
+    deep = value
+    for _ in range(depth):
+        deep = wrap(deep)
+    assert estimate_size(deep) == _reference(value) + depth * layer
+
+
+def test_non_ascii_strings_are_priced_by_utf8_length():
+    assert estimate_size({"ключ": "значение"}) == 2 + (2 + 8) + (2 + 16)
+    assert estimate_size(["€", "a😀"]) == 2 + (2 + 3) + (2 + 5)

@@ -203,3 +203,47 @@ class TestLatencyBucket:
         assert latency_bucket(0.0011) == "<=2ms"
         assert latency_bucket(0.05) == "<=64ms"
         assert latency_bucket(1.0) == "<=1024ms"
+
+
+class TestStampCalls:
+    def test_stamped_legs_equal_dataclasses_replace(self):
+        from dataclasses import replace
+
+        stamper, reference = make_world(), make_world()
+        payload = {"i": 1}
+        calls = [
+            RpcCall("b", "ping", payload),
+            ("c", "read", {"k": "slot"}),
+            RpcCall("b", "ping", {"i": 2}),
+            RpcCall("d", "ping"),
+        ]
+        stamped = stamper.stamp_calls("a", calls)
+        expected = [
+            replace(
+                c if isinstance(c, RpcCall) else RpcCall(*c),
+                dedup=reference.next_dedup("a", c[0] if isinstance(c, tuple) else c.dst),
+            )
+            for c in calls
+        ]
+        assert stamped == expected
+        assert [leg.dedup for leg in stamped] == [
+            ("a", 1, 1), ("a", 1, 1), ("a", 1, 2), ("a", 1, 1),
+        ]
+        assert all(type(leg) is RpcCall for leg in stamped)
+        assert stamped[0].payload is payload  # the payload is shared, not copied
+
+    def test_already_stamped_leg_is_returned_as_is(self):
+        t = make_world()
+        leg = RpcCall("b", "ping", {"i": 1}, dedup=("a", 1, 99))
+        fresh = RpcCall("c", "ping", {"i": 2})
+        stamped = t.stamp_calls("a", [leg, fresh])
+        assert stamped[0] is leg
+        assert stamped[1].dedup == ("a", 1, 1)
+        assert t.stamp_calls("a", stamped)[1] is stamped[1]
+
+    def test_no_stamping_keeps_every_leg(self):
+        t = make_world()
+        t.stamp_dedup = False
+        leg = RpcCall("b", "ping", {"i": 1})
+        [out] = t.stamp_calls("a", [leg])
+        assert out is leg and out.dedup is None
