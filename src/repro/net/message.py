@@ -193,7 +193,19 @@ class Message:
             else:
                 size += estimate_size(list(dedup))
         if trace is not None:
-            size += estimate_size(list(trace))
+            # Fast branch for the canonical (trace_id, span_id) pair of
+            # ASCII strings: list(2) + 2 × str(2 + len) — identical to the
+            # general estimator, minus the walk.
+            if (
+                len(trace) == 2
+                and type(trace[0]) is str
+                and type(trace[1]) is str
+                and trace[0].isascii()
+                and trace[1].isascii()
+            ):
+                size += 6 + len(trace[0]) + len(trace[1])
+            else:
+                size += estimate_size(list(trace))
         self.size_bytes = size
 
     @property

@@ -20,15 +20,22 @@ Two layers share this module:
 
 The span stack is push/pop symmetric regardless of ``enabled`` or
 sampling: disabled or unsampled operations push :data:`NULL_SPAN`, so
-context managers stay balanced and suppressed roots suppress their
-children (and their trace stamps) for free.
+scopes stay balanced and suppressed roots suppress their children (and
+their trace stamps) for free.
+
+Every span layer entry point returns a small slotted scope object
+rather than a generator context manager: :meth:`Tracer.span` opens and
+pushes the span when called and hands back the tracer's one reusable
+scope, whose ``__exit__`` pops and closes the top frame; ``activate``,
+``detached`` and ``deferring`` build scopes that act only at
+``__enter__`` and ``__exit__``, so they may be built before they are
+entered.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.util.clock import VirtualClock
 
@@ -55,7 +62,7 @@ class TraceEvent:
     span_id: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed unit of work inside a trace.
 
@@ -103,10 +110,9 @@ NULL_SPAN = _NullSpan()
 class _NullSpanContext:
     """Reusable ``with``-target yielding :data:`NULL_SPAN`.
 
-    The hot path enters this instead of ``contextlib`` generator
-    machinery when tracing is off: no generator frame, no stack push,
-    no per-call allocation. It is stateless, so one shared instance
-    serves every call site.
+    The hot path enters this instead of a span scope when tracing is
+    off: no stack push and no per-call allocation. It is stateless, so
+    one shared instance serves every call site.
     """
 
     __slots__ = ()
@@ -122,16 +128,96 @@ class _NullSpanContext:
 NULL_SPAN_CONTEXT = _NullSpanContext()
 
 
-@dataclass(frozen=True)
-class _RemoteRef:
-    """Stack frame for a context activated from a message header.
+class _SpanScope:
+    """``with``-target returned by :meth:`Tracer.span`.
 
-    The parent span lives on another node's stack (or has already
-    closed); we only know its ids.
+    The span is already open and on top of the stack when the scope is
+    returned; ``__enter__`` hands that frame to the block. ``__exit__``
+    pops the top frame, stamps its ``end`` and, if the block raised,
+    sets its ``status`` to the exception's class name. The scope holds
+    no per-span state, so each tracer reuses one instance for every
+    span it opens.
     """
 
-    trace_id: str
-    span_id: str
+    __slots__ = ("_tracer",)
+
+    def __init__(self, tracer: Tracer):
+        self._tracer = tracer
+
+    def __enter__(self) -> Span | _NullSpan:
+        return self._tracer._stack[-1]
+
+    def __exit__(self, exc_type: type[BaseException] | None, exc: object, tb: object) -> bool:
+        self._tracer._close(None if exc_type is None else exc_type.__name__)
+        return False
+
+
+class _Activate:
+    """Scope of :meth:`Tracer.activate`, and the stack frame it pushes.
+
+    As a frame it stands for a span recorded elsewhere (on another
+    node's stack, or already closed) of which only the ids are known.
+    It pushes itself on entry and pops on exit; with ``ctx=None`` it
+    does neither.
+    """
+
+    __slots__ = ("_tracer", "_ctx", "trace_id", "span_id")
+
+    def __init__(self, tracer: Tracer, ctx: tuple[str, str] | None):
+        self._tracer = tracer
+        self._ctx = ctx
+        if ctx is not None:
+            self.trace_id = ctx[0]
+            self.span_id = ctx[1]
+
+    def __enter__(self) -> None:
+        if self._ctx is not None:
+            self._tracer._stack.append(self)
+
+    def __exit__(self, *exc: object) -> bool:
+        if self._ctx is not None:
+            self._tracer._stack.pop()
+        return False
+
+
+class _Detached:
+    """Scope of :meth:`Tracer.detached`: swaps in an empty stack on entry."""
+
+    __slots__ = ("_tracer", "_saved")
+
+    def __init__(self, tracer: Tracer):
+        self._tracer = tracer
+
+    def __enter__(self) -> None:
+        tracer = self._tracer
+        self._saved, tracer._stack = tracer._stack, []
+
+    def __exit__(self, *exc: object) -> bool:
+        self._tracer._stack = self._saved
+        return False
+
+
+class _Deferring:
+    """Scope of :meth:`Tracer.deferring`: notes the span count on entry
+    and marks the block's direct children of ``ctx`` on exit."""
+
+    __slots__ = ("_tracer", "_ctx", "_start")
+
+    def __init__(self, tracer: Tracer, ctx: tuple[str, str] | None):
+        self._tracer = tracer
+        self._ctx = ctx
+
+    def __enter__(self) -> None:
+        self._start = len(self._tracer._spans)
+
+    def __exit__(self, *exc: object) -> bool:
+        ctx = self._ctx
+        if ctx is not None:
+            parent_id = ctx[1]
+            for span in self._tracer._spans[self._start :]:
+                if span.parent_id == parent_id:
+                    span.attrs["deferred"] = True
+        return False
 
 
 class Tracer:
@@ -141,10 +227,11 @@ class Tracer:
         self._clock = clock or VirtualClock()
         self._events: list[TraceEvent] = []
         self._spans: list[Span] = []
-        self._stack: list[Span | _NullSpan | _RemoteRef] = []
+        self._stack: list[Span | _NullSpan | _Activate] = []
         self._trace_seq = 0
         self._span_seq = 0
         self._root_seq = 0
+        self._scope = _SpanScope(self)
         self.enabled = True
         #: record every ``sample``-th root trace (1 = all); unsampled
         #: roots are NULL so their entire subtree costs nothing
@@ -224,131 +311,127 @@ class Tracer:
 
     # -- span layer -------------------------------------------------------
 
+    def span(self, name: str, node: str = "", **attrs: Any) -> _SpanScope:
+        """Open a span under the current context and return its scope.
+
+        Use it only as a ``with`` target: the span is opened and pushed
+        when this is called, ``with tracer.span(...) as span`` binds it,
+        and leaving the block closes it (an exception marks the span's
+        status with the exception's class name). The ``attrs`` dict
+        becomes the span's attribute dict as is.
+
+        Always pushes exactly one frame: ``NULL_SPAN`` when tracing is
+        off, under a ``NULL_SPAN`` parent, or for a sampled-out root.
+        """
+        stack = self._stack
+        if not self.enabled or (stack and stack[-1].__class__ is _NullSpan):
+            stack.append(NULL_SPAN)
+            return self._scope
+        if stack:
+            # a child of a live span or an activated remote context: the
+            # common case inside an operation
+            parent = stack[-1]
+            trace_id = parent.trace_id
+            parent_id = parent.span_id
+        else:
+            # a root: apply sampling
+            self._root_seq += 1
+            if self.sample > 1 and (self._root_seq - 1) % self.sample:
+                stack.append(NULL_SPAN)
+                return self._scope
+            self._trace_seq += 1
+            trace_id = "t" + str(self._trace_seq).zfill(4)
+            parent_id = None
+        self._span_seq += 1
+        span = Span(
+            "s" + str(self._span_seq).zfill(6),
+            trace_id,
+            parent_id,
+            name,
+            node,
+            self._clock.now(),
+            None,
+            attrs,
+        )
+        self._spans.append(span)
+        stack.append(span)
+        return self._scope
+
     def start_span(self, name: str, node: str = "", **attrs: Any) -> Span | _NullSpan:
         """Open a span under the current context and push it on the stack.
 
-        Always pushes exactly one frame (a real span or ``NULL_SPAN``) so
-        a matching :meth:`end_span` keeps the stack balanced even if
-        ``enabled`` flips mid-operation.
+        The unscoped form of :meth:`span` (same open path), for spans
+        whose close is not a ``with`` block. Always pushes exactly one
+        frame (a real span or ``NULL_SPAN``) so a matching
+        :meth:`end_span` keeps the stack balanced even if ``enabled``
+        flips mid-operation.
         """
-        span = self._open(name, node, attrs)
-        self._stack.append(span)
-        return span
+        self.span(name, node, **attrs)
+        return self._stack[-1]
 
     def end_span(self, span: Span | _NullSpan | None = None, *, error: str | None = None) -> None:
-        """Close the top-of-stack span (checked against ``span`` if given)."""
-        if not self._stack:
+        """Pop and close the top-of-stack frame (the same close as a scope's exit).
+
+        ``span`` is accepted for readability at call sites and is not
+        checked: the top frame is closed, whatever it is. A real span
+        gets its ``end`` stamped and, if ``error`` is given, that status.
+        """
+        self._close(error)
+
+    def _close(self, error: str | None) -> None:
+        stack = self._stack
+        if not stack:
             return
-        top = self._stack.pop()
-        if isinstance(top, Span):
+        top = stack.pop()
+        if top.__class__ is Span:
             top.end = self._clock.now()
             if error is not None:
                 top.status = error
 
-    @contextmanager
-    def span(self, name: str, node: str = "", **attrs: Any) -> Iterator[Span | _NullSpan]:
-        """Context-managed span; exceptions mark the span's status."""
-        span = self.start_span(name, node, **attrs)
-        try:
-            yield span
-        except BaseException as exc:
-            self.end_span(span, error=type(exc).__name__)
-            raise
-        else:
-            self.end_span(span)
-
-    def _open(self, name: str, node: str, attrs: dict[str, Any]) -> Span | _NullSpan:
-        if not self.enabled:
-            return NULL_SPAN
-        parent = self._stack[-1] if self._stack else None
-        if parent is None:
-            # root span: apply sampling
-            self._root_seq += 1
-            if self.sample > 1 and (self._root_seq - 1) % self.sample:
-                return NULL_SPAN
-            self._trace_seq += 1
-            trace_id = f"t{self._trace_seq:04d}"
-            parent_id = None
-        elif isinstance(parent, _NullSpan):
-            return NULL_SPAN
-        else:
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
-        self._span_seq += 1
-        span = Span(
-            span_id=f"s{self._span_seq:06d}",
-            trace_id=trace_id,
-            parent_id=parent_id,
-            name=name,
-            node=node,
-            start=self._clock.now(),
-            attrs=dict(attrs),
-        )
-        self._spans.append(span)
-        return span
-
     def current_context(self) -> tuple[str, str] | None:
         """``(trace_id, span_id)`` of the innermost live frame, if any."""
-        if not self._stack:
+        stack = self._stack
+        if not stack:
             return None
-        top = self._stack[-1]
-        if isinstance(top, _NullSpan):
+        top = stack[-1]
+        if top.__class__ is _NullSpan:
             return None
         return (top.trace_id, top.span_id)
 
     def current_span_id(self) -> str | None:
-        ctx = self.current_context()
-        return ctx[1] if ctx else None
+        stack = self._stack
+        return stack[-1].span_id if stack else None
 
-    @contextmanager
-    def activate(self, ctx: tuple[str, str] | None) -> Iterator[None]:
+    def activate(self, ctx: tuple[str, str] | None) -> _Activate:
         """Re-enter a remote context carried in a message header.
 
         Spans opened inside become children of the remote caller's span.
         ``ctx=None`` (unstamped message, tracing off at the sender) is a
         passthrough — work nests under whatever is already open here.
+        The frame is pushed when the block is entered, not when the
+        scope is built.
         """
-        if ctx is None:
-            yield
-            return
-        self._stack.append(_RemoteRef(ctx[0], ctx[1]))
-        try:
-            yield
-        finally:
-            self._stack.pop()
+        return _Activate(self, ctx)
 
-    @contextmanager
-    def detached(self) -> Iterator[None]:
+    def detached(self) -> _Detached:
         """Run the block with an empty span stack.
 
         Scheduler-fired callbacks (lease sweeps, fault events, delayed
         redeliveries) must become *root* spans, not children of whatever
         span happened to be open while the clock advanced.
         """
-        saved, self._stack = self._stack, []
-        try:
-            yield
-        finally:
-            self._stack = saved
+        return _Detached(self)
 
-    @contextmanager
-    def deferring(self, ctx: tuple[str, str] | None) -> Iterator[None]:
+    def deferring(self, ctx: tuple[str, str] | None) -> _Deferring:
         """Mark every span the block opens directly under ``ctx`` as deferred.
 
         For late redeliveries: a handler re-enters the context stamped on
         the message, whose span closed long before the duplicate arrived,
         so its spans cannot lie inside that span's interval. Only the
         ``deferred`` attribute is added; span ids and parents stay as they
-        are.
+        are. Spans are counted from when the block is entered.
         """
-        start = len(self._spans)
-        try:
-            yield
-        finally:
-            if ctx is not None:
-                for span in self._spans[start:]:
-                    if span.parent_id == ctx[1]:
-                        span.attrs["deferred"] = True
+        return _Deferring(self, ctx)
 
     def spans(self) -> list[Span]:
         """All recorded spans, in open order."""
@@ -361,7 +444,7 @@ def maybe_span(tracer: Tracer | None, name: str, node: str = "", **attrs: Any):
     When the tracer is absent *or disabled* this returns the shared
     :data:`NULL_SPAN_CONTEXT` and never touches the span stack — a
     disabled-tracing run pays one attribute check per call site instead
-    of two context-manager frames. (``Tracer.span`` itself still pushes
+    of a ``NULL_SPAN`` push and pop. (``Tracer.span`` itself still pushes
     balanced NULL frames when called directly on a disabled tracer; only
     this helper short-circuits, and a tracer re-enabled mid-operation
     simply starts a fresh root at the next call site.)

@@ -92,6 +92,24 @@ def test_noncanonical_dedup_shapes_use_general_estimator():
     assert m.size_bytes - bare.size_bytes == estimate_size(list(key))
 
 
+def test_trace_header_fast_branch_matches_general_estimator():
+    # An ASCII (trace_id, span_id) pair is priced inline; every other
+    # shape takes the general walk. Both must price identically to it.
+    bare = Message("m-0", "a", "b", "k", {})
+    for trace in (
+        ("t0001", "s000042"),
+        ("", ""),
+        ("t0001", "s-é"),
+        ("tré", "s000042"),
+        ("t0001", 42),
+        ("t0001", "s1", "extra"),
+        ("t0001",),
+        ["t0001", "s000042"],
+    ):
+        m = Message("m-1", "a", "b", "k", {}, trace=trace)
+        assert m.size_bytes - bare.size_bytes == estimate_size(list(trace)), trace
+
+
 def test_mixed_flat_and_nested_dicts_price_identically():
     # Scalars priced inline and containers pushed on the stack add up:
     # a dict that is flat except one nested value must equal the sum of

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.util.clock import VirtualClock
-from repro.util.trace import Tracer
+from repro.util.trace import NULL_SPAN, Span, Tracer
 
 
 def test_record_and_read_back():
@@ -197,3 +197,146 @@ def test_detached_blocks_start_fresh_roots():
                 pass
         assert tracer.current_span_id() is not None
     assert sweep.parent_id is None
+
+
+# -- span scopes ----------------------------------------------------------
+
+
+def test_raise_in_nested_spans_marks_status_and_restores_depth():
+    clock = VirtualClock()
+    tracer = Tracer(clock)
+    with tracer.span("outer", "n") as outer:
+        depth = len(tracer._stack)
+        with pytest.raises(KeyError):
+            with tracer.span("mid", "n") as mid:
+                with tracer.span("inner", "n") as inner:
+                    clock.advance(1.0)
+                    raise KeyError("k")
+        assert len(tracer._stack) == depth
+        assert tracer._stack[-1] is outer
+    assert tracer._stack == []
+    assert (mid.status, inner.status, outer.status) == ("KeyError", "KeyError", "ok")
+    assert mid.end == inner.end == 1.0
+
+
+@pytest.mark.parametrize("scope", ["activate", "detached", "deferring"])
+def test_context_scopes_restore_the_stack_when_the_block_raises(scope):
+    tracer = Tracer()
+    with tracer.span("op", "n") as op:
+        ctx = tracer.current_context()
+        before = tracer._stack
+        frames = list(before)
+        make = {
+            "activate": lambda: tracer.activate(("t9999", "s999999")),
+            "detached": tracer.detached,
+            "deferring": lambda: tracer.deferring(ctx),
+        }[scope]
+        with pytest.raises(ValueError):
+            with make():
+                with tracer.span("child", "n") as child:
+                    raise ValueError("x")
+        assert tracer._stack is before
+        assert tracer._stack == frames
+        assert tracer.current_context() == ctx
+    assert child.status == "ValueError"
+    if scope == "deferring":
+        assert child.parent_id == op.span_id and child.attrs == {"deferred": True}
+    assert tracer._stack == []
+
+
+def test_scopes_built_before_entry_act_only_at_enter():
+    # redeliver builds activate/deferring first and enters them later
+    tracer = Tracer()
+    with tracer.span("call", "a") as call:
+        ctx = tracer.current_context()
+    activate = tracer.activate(ctx)
+    deferring = tracer.deferring(ctx)
+    assert tracer._stack == []
+    with tracer.activate(ctx):
+        with tracer.span("early", "b") as early:
+            pass
+    with activate, deferring:
+        assert tracer.current_context() == ctx
+        with tracer.span("late", "b") as late:
+            pass
+    assert tracer._stack == []
+    assert early.parent_id == late.parent_id == call.span_id
+    assert "deferred" not in early.attrs
+    assert late.attrs == {"deferred": True}
+
+
+def test_disabled_span_pushes_balanced_null_frames():
+    tracer = Tracer()
+    tracer.enabled = False
+    with tracer.span("outer", "n") as outer:
+        assert outer is NULL_SPAN
+        assert tracer._stack == [NULL_SPAN]
+        with pytest.raises(ValueError):
+            with tracer.span("inner", "n", k=1) as inner:
+                assert inner is NULL_SPAN
+                assert tracer._stack == [NULL_SPAN, NULL_SPAN]
+                raise ValueError("x")
+        assert tracer._stack == [NULL_SPAN]
+    assert tracer._stack == []
+    assert NULL_SPAN.status == "ok" and NULL_SPAN.attrs == {}
+
+
+def test_start_end_span_records_equal_scoped_spans():
+    scoped_clock, manual_clock = VirtualClock(), VirtualClock()
+    scoped, manual = Tracer(scoped_clock), Tracer(manual_clock)
+
+    with scoped.span("op", "n", txn="x1"):
+        scoped_clock.advance(0.5)
+        with pytest.raises(RuntimeError):
+            with scoped.span("step", "n", k=2):
+                scoped_clock.advance(0.25)
+                raise RuntimeError("boom")
+        scoped_clock.advance(0.125)
+
+    manual.start_span("op", "n", txn="x1")
+    manual_clock.advance(0.5)
+    step = manual.start_span("step", "n", k=2)
+    manual_clock.advance(0.25)
+    manual.end_span(step, error="RuntimeError")
+    manual_clock.advance(0.125)
+    manual.end_span()
+
+    assert manual.spans() == scoped.spans()
+    assert manual._stack == scoped._stack == []
+
+
+def test_end_span_closes_the_top_frame_whatever_span_is_given():
+    tracer = Tracer()
+    outer = tracer.start_span("outer", "n")
+    inner = tracer.start_span("inner", "n")
+    tracer.end_span(outer)
+    assert inner.end is not None and outer.end is None
+    assert tracer._stack == [outer]
+    tracer.end_span()
+    assert tracer._stack == []
+    tracer.end_span()  # nothing open: a no-op
+
+
+def test_span_equality_and_repr():
+    span = Span("s000001", "t0001", None, "op", "n", 0.5)
+    assert repr(span) == (
+        "Span(span_id='s000001', trace_id='t0001', parent_id=None, name='op', "
+        "node='n', start=0.5, end=None, attrs={}, status='ok')"
+    )
+    twin = Span(
+        span_id="s000001", trace_id="t0001", parent_id=None, name="op", node="n", start=0.5
+    )
+    assert span == twin
+    twin.set(k=1)
+    assert span != twin and span.attrs == {}
+    assert Span("s000001", "t0001", None, "op", "n", 0.5, 1.0, {"k": 1}, "Err") == Span(
+        "s000001", "t0001", None, "op", "n", 0.5, end=1.0, attrs={"k": 1}, status="Err"
+    )
+
+
+def test_span_keeps_the_attrs_dict_it_is_given():
+    tracer = Tracer()
+    with tracer.span("op", "n", a=1) as span:
+        pass
+    (recorded,) = tracer.spans()
+    assert recorded is span and span.attrs == {"a": 1}
