@@ -8,8 +8,8 @@ fluent entry point is :func:`where`::
     pred = (where("status") == "free") & (where("hour") >= 9)
     rows = store.select("slots", pred)
 
-Predicates are also produced by the mini-SQL parser
-(:mod:`repro.datastore.sqlmini`) so both query paths share evaluation.
+Every predicate answers :meth:`Predicate.matches` for one row and
+:meth:`Predicate.columns` for the planner.
 """
 
 from __future__ import annotations
@@ -19,23 +19,6 @@ from abc import ABC, abstractmethod
 from typing import Any, Iterable
 
 from repro.util.errors import QueryError
-
-
-def sql_literal(value: Any) -> str:
-    """Render a Python value as a mini-SQL literal.
-
-    Note the dialect quirk: ``col = NULL`` is *meaningful* here (None is
-    compared as a plain value), unlike standard SQL.
-    """
-    if value is None:
-        return "NULL"
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    raise QueryError(f"value {value!r} has no SQL literal form")
 
 
 class Predicate(ABC):
@@ -48,15 +31,6 @@ class Predicate(ABC):
     @abstractmethod
     def columns(self) -> set[str]:
         """Column names the predicate references (for index planning)."""
-
-    @abstractmethod
-    def to_sql(self) -> str:
-        """Render as a mini-SQL WHERE expression.
-
-        Round-trip guarantee (property-tested): parsing the result back
-        through :mod:`repro.datastore.sqlmini` yields an equivalent
-        predicate.
-        """
 
     def __and__(self, other: "Predicate") -> "Predicate":
         return And(self, other)
@@ -76,11 +50,6 @@ class TruePredicate(Predicate):
 
     def columns(self) -> set[str]:
         return set()
-
-    def to_sql(self) -> str:
-        # The grammar has no literal-only comparisons; use a tautology on
-        # a column no row defines (a missing column reads as NULL).
-        return "__always__ IS NULL"
 
     def __repr__(self) -> str:
         return "TRUE"
@@ -134,9 +103,6 @@ class Cmp(Predicate):
     def columns(self) -> set[str]:
         return {self.column}
 
-    def to_sql(self) -> str:
-        return f"{self.column} {self.op} {sql_literal(self.value)}"
-
     def __repr__(self) -> str:
         return f"({self.column} {self.op} {self.value!r})"
 
@@ -153,13 +119,6 @@ class In(Predicate):
 
     def columns(self) -> set[str]:
         return {self.column}
-
-    def to_sql(self) -> str:
-        if not self.values:
-            # Empty IN matches nothing; negate the always-true idiom.
-            return "NOT (__always__ IS NULL)"
-        items = ", ".join(sorted(sql_literal(v) for v in self.values))
-        return f"{self.column} IN ({items})"
 
     def __repr__(self) -> str:
         return f"({self.column} IN {sorted(map(repr, self.values))})"
@@ -181,9 +140,6 @@ class Like(Predicate):
     def columns(self) -> set[str]:
         return {self.column}
 
-    def to_sql(self) -> str:
-        return f"{self.column} LIKE {sql_literal(self.pattern)}"
-
     def __repr__(self) -> str:
         return f"({self.column} LIKE {self.pattern!r})"
 
@@ -199,9 +155,6 @@ class IsNull(Predicate):
 
     def columns(self) -> set[str]:
         return {self.column}
-
-    def to_sql(self) -> str:
-        return f"{self.column} IS NULL"
 
     def __repr__(self) -> str:
         return f"({self.column} IS NULL)"
@@ -219,9 +172,6 @@ class And(Predicate):
     def columns(self) -> set[str]:
         return self.left.columns() | self.right.columns()
 
-    def to_sql(self) -> str:
-        return f"({self.left.to_sql()} AND {self.right.to_sql()})"
-
     def __repr__(self) -> str:
         return f"({self.left!r} AND {self.right!r})"
 
@@ -238,9 +188,6 @@ class Or(Predicate):
     def columns(self) -> set[str]:
         return self.left.columns() | self.right.columns()
 
-    def to_sql(self) -> str:
-        return f"({self.left.to_sql()} OR {self.right.to_sql()})"
-
     def __repr__(self) -> str:
         return f"({self.left!r} OR {self.right!r})"
 
@@ -256,9 +203,6 @@ class Not(Predicate):
 
     def columns(self) -> set[str]:
         return self.inner.columns()
-
-    def to_sql(self) -> str:
-        return f"NOT ({self.inner.to_sql()})"
 
     def __repr__(self) -> str:
         return f"(NOT {self.inner!r})"

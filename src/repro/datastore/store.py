@@ -128,17 +128,13 @@ class DataStore(ABC):
         """Secondary index (optional; default: unsupported)."""
         raise UnsupportedOperationError(f"{self.kind} store does not support indexes")
 
-    def sql(self, statement: str) -> Any:
-        """Execute a mini-SQL statement (optional; relational only)."""
-        raise UnsupportedOperationError(f"{self.kind} store does not support SQL")
-
     def add_trigger(self, trigger: RowTrigger) -> Callable[[], None]:
         """Attach a row trigger; returns a removal callable."""
         return self.triggers.add(trigger)
 
 
 class RelationalStore(DataStore):
-    """Dict-backed relational store with indexes, SQL and triggers.
+    """Dict-backed relational store with indexes and triggers.
 
     The stand-in for the prototype's per-device Oracle databases.
     """
@@ -225,12 +221,6 @@ class RelationalStore(DataStore):
 
     def storage_bytes(self) -> int:
         return sum(t.storage_bytes() for t in self._tables.values())
-
-    def sql(self, statement: str) -> Any:
-        # Imported lazily to avoid a module cycle (sqlmini builds predicates).
-        from repro.datastore.sqlmini import execute
-
-        return execute(self, statement)
 
     # -- internal ------------------------------------------------------------
 

@@ -240,15 +240,14 @@ class SyDListener:
         if metrics is None:
             result = fn(*args, **kwargs)
         else:
-            # Two clock reads and an observe: what ``metrics.timer`` does,
-            # without a generator context manager per invocation. A
+            # Two clock reads and one digest sample per invocation. A
             # raising handler still gets its sample.
             now = metrics.clock.now
             start = now()
             try:
                 result = fn(*args, **kwargs)
             finally:
-                metrics.observe(self.node_id, f"kernel.dispatch.{method}", now() - start)
+                metrics.record_value(self.node_id, f"kernel.dispatch.{method}", now() - start)
         self.invocations += 1
         self._metric("kernel.invocations")
         for hook in list(self._post_hooks):

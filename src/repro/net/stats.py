@@ -18,17 +18,43 @@ Scatter-gather batches (``Transport.rpc_many``) are accounted twice:
 every leg's delay lands in the ordinary per-message counters (so
 ``latency`` remains total network *busy time*, independent of
 concurrency), and the batch itself increments ``concurrent_batches`` /
-``batched_legs`` plus a coarse histogram of batch critical-path delays.
+``batched_legs`` plus a coarse power-of-two histogram of batch
+critical-path delays (``batch_latency_hist``), mirrored into the
+registry's ``net.batch_latency`` digest.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import MetricsRegistry, latency_bucket
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["latency_bucket", "StatsSnapshot", "NetworkStats"]
+
+
+#: interned bucket labels, keyed by power-of-two exponent
+_BUCKET_LABELS: dict[int, str] = {}
+
+
+def latency_bucket(delay: float) -> str:
+    """Power-of-two millisecond bucket label for a delay in seconds.
+
+    Computed via ``math.frexp`` (one float decompose) rather than
+    ``log2``/``ceil`` method chains; labels are interned per exponent so
+    the hot path never re-formats a string it has produced before.
+    """
+    ms = delay * 1e3
+    if ms <= 1.0:
+        return "<=1ms"
+    mantissa, exp = math.frexp(ms)  # ms == mantissa * 2**exp, 0.5 <= mantissa < 1
+    if mantissa == 0.5:  # exact power of two belongs in its own bucket
+        exp -= 1
+    label = _BUCKET_LABELS.get(exp)
+    if label is None:
+        label = _BUCKET_LABELS[exp] = f"<={1 << exp}ms"
+    return label
 
 
 def _counter_delta(later: Counter, earlier: Counter) -> Counter:
@@ -97,7 +123,7 @@ class NetworkStats:
     snapshot. ``by_kind`` / ``batch_latency_hist`` stay real ``Counter``
     objects (tests compare them directly) and are mirrored into the
     registry as ``net.by_kind.<kind>`` counters and the
-    ``net.batch_latency`` histogram buckets.
+    ``net.batch_latency`` digest.
     """
 
     NODE = "net"
@@ -224,7 +250,7 @@ class NetworkStats:
         self._inc("concurrent_batches")
         self._inc("batched_legs", legs)
         self.batch_latency_hist[latency_bucket(max_delay)] += 1
-        self.registry.observe(self.NODE, "net.batch_latency", max_delay)
+        self.registry.record_value(self.NODE, "net.batch_latency", max_delay)
 
     def record_retry(self, legs: int = 1) -> None:
         """Account ``legs`` re-sent under a retry policy."""

@@ -5,9 +5,9 @@ The pieces (DESIGN.md §5.10, §5.14):
 * a span model in :mod:`repro.util.trace` (re-exported here) giving every
   top-level operation a ``trace_id`` that propagates across simulated
   RPC hops;
-* :class:`MetricsRegistry` — per-node, per-subsystem counters, gauges,
-  virtual-time histograms (with exact min/max) and windowed quantile
-  digests that absorb the ad-hoc counters scattered through the stack
+* :class:`MetricsRegistry` — per-node, per-subsystem counters, gauges
+  and windowed quantile digests (with exact count, sum, min and max)
+  that absorb the ad-hoc counters scattered through the stack
   (``NetworkStats`` is a view over it);
 * deterministic exporters (:mod:`repro.obs.export`) — Chrome
   ``trace_event`` JSON loadable in Perfetto, and a plain-text span tree —
@@ -36,13 +36,12 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_timeline,
 )
-from repro.obs.metrics import MetricsRegistry, latency_bucket
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import DEFAULT_SLOS, SloResult, SloSpec, evaluate, render_report
 from repro.util.trace import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "MetricsRegistry",
-    "latency_bucket",
     "chrome_trace",
     "render_span_tree",
     "validate_chrome_trace",

@@ -1,13 +1,14 @@
 """Deterministic, mergeable quantile sketches.
 
-The power-of-two histograms in :mod:`repro.obs.metrics` are fine for
-dashboards but lossy for tails: every sample in ``<=2048ms`` is the same
-bucket, so "p99 = 2.1 s vs 1.1 s" is invisible. :class:`QuantileDigest`
-is a DDSketch-style log-spaced sketch with a *fixed relative-error
-bound*: bucket ``i`` covers ``(gamma^(i-1), gamma^i]`` with
-``gamma = (1 + alpha) / (1 - alpha)``, so any reported quantile is
-within ``alpha`` (default 1%) of the true sample value — at any scale,
-from microsecond lookups to multi-second chaos tails.
+Power-of-two millisecond buckets are fine for dashboards but lossy for
+tails: every sample in ``<=2048ms`` is the same bucket, so "p99 = 2.1 s
+vs 1.1 s" is invisible. :class:`QuantileDigest` is the one latency
+representation :mod:`repro.obs.metrics` keeps: a DDSketch-style
+log-spaced sketch with a *fixed relative-error bound*: bucket ``i``
+covers ``(gamma^(i-1), gamma^i]`` with ``gamma = (1 + alpha) / (1 -
+alpha)``, so any reported quantile is within ``alpha`` (default 1%) of
+the true sample value — at any scale, from microsecond lookups to
+multi-second chaos tails.
 
 Design constraints, in order:
 

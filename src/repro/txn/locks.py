@@ -65,7 +65,7 @@ class LockManager:
         #: against the termination sweeps that read honest time. The
         #: simulation clock itself is never touched.
         self.skew = skew
-        #: optional MetricsRegistry sink (txn.lock_* counters, hold-time hist)
+        #: optional MetricsRegistry sink (txn.lock_* counters, hold-time digest)
         self._metrics = metrics
         self._metrics_node = metrics_node
         self.acquisitions = 0
@@ -86,7 +86,7 @@ class LockManager:
         """Observe the hold time of a fully released lock."""
         start = self._acquired_at.pop(key, None)
         if self._metrics is not None and start is not None and self._clock is not None:
-            self._metrics.observe(
+            self._metrics.record_value(
                 self._metrics_node, "txn.lock_hold", self._clock.now() - start
             )
         self._note_held()
@@ -114,7 +114,7 @@ class LockManager:
                 if refused is not None:
                     wait = now - refused
                     if self._metrics is not None and wait > 0.0:
-                        self._metrics.observe(
+                        self._metrics.record_value(
                             self._metrics_node, "txn.lock_wait", wait
                         )
             self.acquisitions += 1

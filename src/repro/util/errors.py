@@ -149,10 +149,6 @@ class QueryError(StoreError):
     """Malformed predicate or query."""
 
 
-class SqlSyntaxError(QueryError):
-    """The mini-SQL parser rejected the statement."""
-
-
 class UnsupportedOperationError(StoreError):
     """The store kind does not support the requested operation."""
 

@@ -74,7 +74,7 @@ class SyDWorld:
         self.clock = VirtualClock()
         self.scheduler = EventScheduler(self.clock)
         self.random = RandomStreams(seed)
-        #: fleet-wide metrics sink (per-node counters/gauges/histograms);
+        #: fleet-wide metrics sink (per-node counters/gauges/digests);
         #: ``transport.stats`` is a view over it under the "net" node
         self.metrics = MetricsRegistry(self.clock)
         if latency == "campus":

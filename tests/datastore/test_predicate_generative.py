@@ -1,14 +1,10 @@
-"""Seeded generative tests for the predicate/sqlmini round trip.
+"""Seeded generative tests for the store's query planner.
 
-Complements the hypothesis suite in ``test_predicate_sql_roundtrip.py``
-with a plain-``random`` generator (no external shrinking machinery, and
-usable as an idiom where hypothesis is unavailable) and two properties
-the hypothesis suite does not cover:
-
-* ``to_sql`` is a *fixed point* through the parser — reparsing the SQL
-  and printing it again yields byte-identical SQL, and
-* ``RelationalStore.select`` agrees between a predicate object and the
-  same predicate round-tripped through SQL text.
+A plain-``random`` generator (no external shrinking machinery) builds
+predicate trees and rows; the oracle is a full scan with
+``Predicate.matches``. ``RelationalStore.select`` must return exactly
+the rows the oracle keeps, whichever path the planner takes: the
+primary-key-direct lookup, a secondary index, or a scan.
 """
 
 import random
@@ -16,13 +12,12 @@ import random
 import pytest
 
 from repro.datastore.predicate import ALWAYS, Cmp, In, IsNull, Like, Not
-from repro.datastore.schema import Column, ColumnType
-from repro.datastore.sqlmini import parse
+from repro.datastore.schema import Column, ColumnType, Schema
 from repro.datastore.store import RelationalStore
 
 COLUMNS = ["alpha", "beta", "gamma"]
 SEED = 0xC0FFEE
-TREES = 400
+ROWS = 60
 
 
 def random_value(rng: random.Random):
@@ -39,9 +34,18 @@ def random_value(rng: random.Random):
     return "".join(rng.choice(alphabet) for _ in range(rng.randrange(7)))
 
 
+def random_pk(rng: random.Random):
+    # Mostly present keys, some absent ones, and equal-but-not-int keys.
+    return rng.choice([rng.randrange(ROWS), rng.randrange(ROWS, ROWS + 5), -1, 3.0, True])
+
+
 def random_leaf(rng: random.Random):
     column = rng.choice(COLUMNS)
-    pick = rng.randrange(6)
+    pick = rng.randrange(8)
+    if pick == 6:
+        return Cmp("id", "=", random_pk(rng))
+    if pick == 7:
+        return In("id", [random_pk(rng) for _ in range(rng.randrange(4))])
     if pick == 0:
         return Cmp(column, rng.choice(["=", "!="]), random_value(rng))
     if pick == 1:
@@ -84,34 +88,8 @@ def random_row(rng: random.Random):
     return row
 
 
-def parse_where(expr: str):
-    return parse(f"SELECT * FROM t WHERE {expr}").predicate
-
-
-def test_to_sql_is_a_parser_fixed_point():
-    rng = random.Random(SEED)
-    for _ in range(TREES):
-        pred = random_tree(rng)
-        sql = pred.to_sql()
-        assert parse_where(sql).to_sql() == sql, sql
-
-
-def test_reparsed_predicate_matches_identically():
-    rng = random.Random(SEED + 1)
-    for _ in range(TREES):
-        pred = random_tree(rng)
-        reparsed = parse_where(pred.to_sql())
-        for _ in range(5):
-            row = random_row(rng)
-            assert reparsed.matches(row) == pred.matches(row), (
-                f"divergence on {row} for {pred.to_sql()!r}"
-            )
-
-
 @pytest.fixture
-def store():
-    from repro.datastore.schema import Schema
-
+def store_and_rows():
     store = RelationalStore("gen")
     store.create_table(
         "t",
@@ -125,23 +103,29 @@ def store():
             primary_key="id",
         ),
     )
+    store.create_index("t", "alpha")
     rng = random.Random(SEED + 2)
-    for i in range(60):
+    rows = []
+    for i in range(ROWS):
         row = random_row(rng)
         row["id"] = i
         store.insert("t", row)
-    return store
+        rows.append(row)
+    return store, rows
 
 
-def test_select_agrees_with_roundtripped_predicate(store):
+def test_select_agrees_with_full_scan_oracle(store_and_rows):
+    store, rows = store_and_rows
     rng = random.Random(SEED + 3)
     nontrivial = 0
     for _ in range(150):
-        pred = random_tree(rng)
-        direct = {r["id"] for r in store.select("t", pred)}
-        via_sql = {r["id"] for r in store.select("t", parse_where(pred.to_sql()))}
-        assert direct == via_sql, pred.to_sql()
-        if 0 < len(direct) < 60:
-            nontrivial += 1
+        tree = random_tree(rng)
+        # A pk equality ANDed onto the tree takes the planner's pk-binding path.
+        for pred in (tree, Cmp("id", "=", random_pk(rng)) & tree):
+            selected = {r["id"] for r in store.select("t", pred)}
+            assert selected == {r["id"] for r in rows if pred.matches(r)}, pred
+            assert store.count("t", pred) == len(selected), pred
+            if 0 < len(selected) < ROWS:
+                nontrivial += 1
     # the generator must exercise real filtering, not just ALWAYS/NEVER
     assert nontrivial > 20

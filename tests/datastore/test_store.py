@@ -187,5 +187,3 @@ def test_abstract_extras_unsupported():
     ls = ListStore("x")
     with pytest.raises(UnsupportedOperationError):
         ls.create_index("t", "c")
-    with pytest.raises(UnsupportedOperationError):
-        ls.sql("SELECT * FROM t")

@@ -2,7 +2,7 @@
 
 With no tracer or a disabled one, ``handle_invoke`` dispatches directly:
 it pushes no span frames, records no effect traces, and still times
-every invocation into the ``kernel.dispatch.<method>`` histogram. With
+every invocation into the ``kernel.dispatch.<method>`` digest. With
 tracing on, the handler spans keep their names, ids and parents.
 """
 
@@ -67,7 +67,7 @@ def _invoke(seq, method, trace=None):
 
 def _dispatch_count(world, method):
     node = world.nodes["b"].listener.node_id
-    return world.metrics.histogram(node, f"kernel.dispatch.{method}")["count"]
+    return world.metrics.digest(node, f"kernel.dispatch.{method}").count
 
 
 class TestTracingOff:
@@ -112,10 +112,10 @@ class TestTracingOff:
         nodes["a"].engine.execute("b", "probe", "slow", 0.002)
         with pytest.raises(SlotUnavailableError):
             nodes["a"].engine.execute("b", "probe", "slow", 0.003, fail=True)
-        hist = world.metrics.histogram(nodes["b"].listener.node_id, "kernel.dispatch.slow")
-        assert hist["count"] == 2
-        assert hist["sum"] == pytest.approx(0.005)
-        assert (hist["min"], hist["max"]) == pytest.approx((0.002, 0.003))
+        digest = world.metrics.digest(nodes["b"].listener.node_id, "kernel.dispatch.slow")
+        assert digest.count == 2
+        assert digest.sum == pytest.approx(0.005)
+        assert (digest.min, digest.max) == pytest.approx((0.002, 0.003))
 
 
 class TestTracingOn:

@@ -2,9 +2,11 @@
 
 from collections import Counter
 
+import pytest
+
 from repro.device.resource import ResourceObject
 from repro.net.stats import NetworkStats
-from repro.obs.metrics import MetricsRegistry, latency_bucket
+from repro.obs.metrics import MetricsRegistry
 from repro.util.clock import VirtualClock
 from repro.world import SyDWorld
 
@@ -26,26 +28,6 @@ class TestRegistry:
         reg.set_gauge("a", "txn.locks_held", 1)
         assert reg.gauge("a", "txn.locks_held") == 1
 
-    def test_histogram_buckets_are_power_of_two_ms(self):
-        reg = MetricsRegistry()
-        for delay in (0.0005, 0.003, 0.020, 0.020):
-            reg.observe("a", "net.rpc", delay)
-        hist = reg.histogram("a", "net.rpc")
-        assert hist["count"] == 4
-        assert hist["buckets"] == Counter({"<=1ms": 1, "<=4ms": 1, "<=32ms": 2})
-        assert abs(hist["sum"] - 0.0435) < 1e-9
-        # Unset histograms read as empty, not KeyError.
-        assert reg.histogram("a", "nope")["count"] == 0
-
-    def test_timer_observes_virtual_time(self):
-        clock = VirtualClock()
-        reg = MetricsRegistry(clock)
-        with reg.timer("a", "kernel.dispatch.read"):
-            clock.advance(0.002)
-        hist = reg.histogram("a", "kernel.dispatch.read")
-        assert hist["count"] == 1
-        assert hist["buckets"] == Counter({"<=2ms": 1})
-
     def test_snapshot_is_sorted_and_jsonable(self):
         import json
 
@@ -53,14 +35,14 @@ class TestRegistry:
         reg.inc("b", "x")
         reg.inc("a", "x")
         reg.set_gauge("a", "g", 1.5)
-        reg.observe("a", "h", 0.004)
+        reg.record_value("a", "h", 0.004)
         snap = reg.snapshot()
         assert list(snap["counters"]) == ["a/x", "b/x"]
         json.dumps(snap)  # no Counter leaks through
         rendered = reg.render()
         assert "counter a/x = 1" in rendered
         assert "gauge   a/g = 1.5" in rendered
-        assert "hist    a/h count=1" in rendered
+        assert "digest  a/h count=1" in rendered
 
     def test_reset_node_only_drops_that_node(self):
         reg = MetricsRegistry()
@@ -70,27 +52,23 @@ class TestRegistry:
         assert reg.counter("a", "x") == 0
         assert reg.counter("b", "x") == 1
 
-    def test_latency_bucket_edges(self):
-        assert latency_bucket(0.001) == "<=1ms"
-        assert latency_bucket(0.0011) == "<=2ms"
-        assert latency_bucket(0.002) == "<=2ms"
-        assert latency_bucket(0.1) == "<=128ms"
-
-    def test_histograms_keep_exact_min_max_below_bucket_resolution(self):
-        # Regression: two tails in the same power-of-two bucket used to
-        # be indistinguishable — 1.1s and 2.0s are both "<=2048ms". The
-        # exact min/max must expose the true extremes regardless.
+    def test_digests_keep_exact_min_max(self):
+        # Regression: power-of-two buckets could not tell 1.1 s from
+        # 2.0 s (both "<=2048ms"). Digests report the exact extremes,
+        # and render() prints them.
         reg = MetricsRegistry()
         for delay in (1.1, 1.7, 2.0):
-            reg.observe("a", "net.rpc", delay)
-        hist = reg.histogram("a", "net.rpc")
-        assert hist["buckets"] == Counter({"<=2048ms": 3})
-        assert hist["min"] == 1.1
-        assert hist["max"] == 2.0
-        # Unset histograms report None extremes, and the snapshot/render
-        # carry them alongside the buckets.
-        assert reg.histogram("a", "nope")["min"] is None
-        assert "min=1.1" in reg.render() and "max=2" in reg.render()
+            reg.record_value("a", "net.rpc", delay)
+        digest = reg.digest("a", "net.rpc")
+        assert digest.count == 3
+        assert digest.sum == pytest.approx(4.8)
+        assert (digest.min, digest.max) == (1.1, 2.0)
+        # An unset digest reads as empty, not KeyError.
+        assert reg.digest("a", "nope").count == 0
+        line = next(
+            text for text in reg.render().splitlines() if text.startswith("digest  a/net.rpc")
+        )
+        assert "count=3" in line and "min=1.100000" in line and "max=2.000000" in line
 
     def test_record_value_windows_by_virtual_time(self):
         clock = VirtualClock()
@@ -153,7 +131,7 @@ class TestWorldIntegration:
         # The remote listener timed its dispatches (keyed by node id —
         # the listener doesn't know user names).
         b_id = world.node("b").node_id
-        assert reg.histogram(b_id, "kernel.dispatch.read")["count"] == 2
+        assert reg.digest(b_id, "kernel.dispatch.read").count == 2
         # The second lookup hit the directory cache.
         assert reg.counter("a", "dir.cache_hits") >= 1
         snap = reg.snapshot()
