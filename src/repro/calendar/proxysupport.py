@@ -42,10 +42,7 @@ class CalendarReadFacade(SyDDeviceObject):
     @exported
     def query_free_slots(self, day_from: int, day_to: int) -> list[dict[str, int]]:
         """Free slots per the last synced replica state."""
-        return [
-            {"day": r["day"], "hour": r["hour"]}
-            for r in self.calendar.free_slots(day_from, day_to)
-        ]
+        return self.calendar.free_entities(day_from, day_to)
 
     @exported
     def get_slot(self, entity: dict[str, int]) -> dict[str, Any]:

@@ -113,6 +113,14 @@ class CalendarStore:
         the slots table's :meth:`~repro.datastore.store.DataStore.version`
         moves; each call returns fresh row copies.
         """
+        return [dict(r) for r in self._free_window(day_from, day_to)]
+
+    def free_entities(self, day_from: int, day_to: int) -> list[dict[str, int]]:
+        """The ``{"day", "hour"}`` entities of :meth:`free_slots`, same order."""
+        return [{"day": r["day"], "hour": r["hour"]} for r in self._free_window(day_from, day_to)]
+
+    def _free_window(self, day_from: int, day_to: int) -> list[dict[str, Any]]:
+        """The view's own rows in the day window (callers must not mutate)."""
         key = (self.store, self.store.version(SLOTS_TABLE))
         if self._free_key != key:
             rows = self.store.select(SLOTS_TABLE, where("status") == SlotStatus.FREE.value)
@@ -120,7 +128,7 @@ class CalendarStore:
             rows.sort(key=lambda r: (r["day"], r["hour"]))
             self._free_key, self._free_view = key, rows
         try:
-            return [dict(r) for r in self._free_view if day_from <= r["day"] <= day_to]
+            return [r for r in self._free_view if day_from <= r["day"] <= day_to]
         except TypeError:  # a non-numeric bound matches no row, as in a predicate
             return []
 
@@ -168,13 +176,7 @@ class CalendarStore:
 
     def put_meeting(self, meeting: Meeting) -> None:
         """Insert or overwrite this user's copy of a meeting."""
-        if self.store.get(MEETINGS_TABLE, meeting.meeting_id) is None:
-            self.store.insert(MEETINGS_TABLE, meeting.to_row())
-        else:
-            changes = {k: v for k, v in meeting.to_row().items() if k != "meeting_id"}
-            self.store.update(
-                MEETINGS_TABLE, where("meeting_id") == meeting.meeting_id, changes
-            )
+        self.store.put(MEETINGS_TABLE, meeting.to_row())
 
     def meeting(self, meeting_id: str) -> Meeting:
         row = self.store.get(MEETINGS_TABLE, meeting_id)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Iterable, Optional
 
-from repro.datastore.predicate import Predicate
+from repro.datastore.predicate import Cmp, Predicate
 from repro.datastore.schema import Schema
 from repro.datastore.table import Table
 from repro.datastore.triggers import RowTrigger, TriggerEvent, TriggerManager
@@ -88,6 +88,25 @@ class DataStore(ABC):
     @abstractmethod
     def insert(self, table: str, row: dict[str, Any]) -> dict[str, Any]:
         """Insert; returns the stored row (defaults applied)."""
+
+    def put(self, table: str, row: dict[str, Any]) -> None:
+        """Insert ``row``, or replace the row with the same primary key.
+
+        ``row`` is a full insert payload, validated and defaulted as for
+        :meth:`insert`, so a replace leaves exactly that row. Composed of
+        :meth:`get`, :meth:`update` and :meth:`insert`: one version stamp
+        and one INSERT or UPDATE(old, new) trigger, as the update-or-insert
+        it spells.
+        """
+        schema = self.schema(table)
+        stored = schema.normalize_insert(row)
+        pk_col = schema.primary_key
+        pk = stored[pk_col]
+        if self.get(table, pk) is None:
+            self.insert(table, stored)
+        else:
+            del stored[pk_col]
+            self.update(table, Cmp(pk_col, "=", pk), stored)
 
     @abstractmethod
     def get(self, table: str, pk: Any) -> Optional[dict[str, Any]]:
@@ -178,6 +197,16 @@ class RelationalStore(DataStore):
         stored = tbl.insert(row)
         self.triggers.fire(TriggerEvent.INSERT, table, None, stored)
         return stored
+
+    def put(self, table: str, row: dict[str, Any]) -> None:
+        """One keyed replace (see :meth:`DataStore.put`)."""
+        tbl = self._require(table)
+        self._stamp(table)
+        old, new = tbl.put(row)
+        if old is None:
+            self.triggers.fire(TriggerEvent.INSERT, table, None, new)
+        else:
+            self.triggers.fire(TriggerEvent.UPDATE, table, old, new)
 
     def get(self, table: str, pk: Any) -> Optional[dict[str, Any]]:
         return self._require(table).get(pk)

@@ -68,6 +68,20 @@ class Table:
         self._index_add(stored)
         return dict(stored)
 
+    def put(
+        self, row: dict[str, Any]
+    ) -> tuple[Optional[dict[str, Any]], dict[str, Any]]:
+        """Store ``row`` (validated as an insert), replacing the row with its
+        primary key if there is one; returns ``(old or None, new copy)``."""
+        stored = self.schema.normalize_insert(row)
+        pk = stored[self._pk]
+        old = self._rows.get(pk)
+        if old is not None:
+            self._index_remove(old)
+        self._rows[pk] = stored
+        self._index_add(stored)
+        return old, dict(stored)
+
     def update_rows(
         self, predicate: Predicate | None, changes: dict[str, Any]
     ) -> list[tuple[dict[str, Any], dict[str, Any]]]:

@@ -147,7 +147,7 @@ class Link:
             "created_at": self.created_at,
             "expires_at": self.expires_at,
             "waiting_on": self.waiting_on,
-            "context": self.context,
+            "context": dict(self.context),
         }
 
     @staticmethod

@@ -233,18 +233,22 @@ class Transport:
 
         Used by ``rpc_many_with_retry`` so a re-sent leg carries the same
         key as the original attempt. Already-stamped legs are kept as-is;
-        the others are rebuilt directly (``dataclasses.replace`` would
-        re-inspect the fields on every leg).
+        every other leg is built once, with its key (``dataclasses.replace``
+        would re-inspect the fields on every leg).
         """
-        legs = [c if isinstance(c, RpcCall) else RpcCall(*c) for c in calls]
         if not self.stamp_dedup:
-            return legs
-        return [
-            leg
-            if leg.dedup is not None
-            else RpcCall(leg.dst, leg.kind, leg.payload, self.next_dedup(src, leg.dst))
-            for leg in legs
-        ]
+            return [c if isinstance(c, RpcCall) else RpcCall(*c) for c in calls]
+        legs = []
+        for c in calls:
+            if isinstance(c, RpcCall):
+                if c.dedup is not None:
+                    legs.append(c)
+                    continue
+                dst, kind, payload = c.dst, c.kind, c.payload
+            else:
+                dst, kind, payload = c
+            legs.append(RpcCall(dst, kind, payload, self.next_dedup(src, dst)))
+        return legs
 
     # -- trace stamping ----------------------------------------------------
 

@@ -43,13 +43,10 @@ class AuthTable:
 
     def grant(self, user_id: str, password: str) -> None:
         """Authorize ``user_id`` with ``password`` (idempotent upsert)."""
-        digest = _hash_password(user_id, password)
-        if self.store.get(AUTH_TABLE, user_id) is None:
-            self.store.insert(AUTH_TABLE, {"user_id": user_id, "password_hash": digest})
-        else:
-            self.store.update(
-                AUTH_TABLE, where("user_id") == user_id, {"password_hash": digest}
-            )
+        self.store.put(
+            AUTH_TABLE,
+            {"user_id": user_id, "password_hash": _hash_password(user_id, password)},
+        )
 
     def revoke(self, user_id: str) -> bool:
         """Remove authorization; returns True when the user existed."""

@@ -4,8 +4,8 @@
 the slots table's version moves. These tests drive every write path of
 all three store kinds (calendar verbs, raw non-pk updates, delete and
 insert, WAL replay, flat-file load, drop and re-create, and a row trigger
-that reads free slots from inside a write) and compare every window
-against a reference scan kept here.
+that reads free slots from inside a write) and compare every window,
+and its ``{"day", "hour"}`` entities, against a reference scan kept here.
 """
 
 import pytest
@@ -59,9 +59,11 @@ def slot_row(sid, day, hour, status, meeting_id=None):
 def assert_view_matches(cal):
     for day_from in range(-1, DAYS + 1):
         for day_to in range(day_from - 1, DAYS + 1):
-            assert cal.free_slots(day_from, day_to) == reference(
-                cal.store, day_from, day_to
-            ), (day_from, day_to)
+            expected = reference(cal.store, day_from, day_to)
+            assert cal.free_slots(day_from, day_to) == expected, (day_from, day_to)
+            assert cal.free_entities(day_from, day_to) == [
+                {"day": r["day"], "hour": r["hour"]} for r in expected
+            ], (day_from, day_to)
 
 
 def make_calendar(kind):
@@ -201,6 +203,8 @@ def test_non_numeric_bounds_match_no_row(kind):
     cal, _ = make_calendar(kind)
     assert cal.free_slots(None, 2) == []
     assert cal.free_slots(0, "2") == []
+    assert cal.free_entities(None, 2) == []
+    assert cal.free_entities(0, "2") == []
 
 
 @pytest.mark.parametrize("kind", STORE_KINDS, ids=lambda k: k.kind)
