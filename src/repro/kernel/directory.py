@@ -32,11 +32,15 @@ from repro.datastore.predicate import where
 from repro.datastore.schema import Column, ColumnType, schema
 from repro.datastore.store import RelationalStore
 from repro.device.object import SyDDeviceObject, exported
+from repro.kernel import invoke
 from repro.util.errors import (
     DuplicateRegistrationError,
+    MessageDropped,
+    ReproError,
     UnknownGroupError,
     UnknownServiceError,
     UnknownUserError,
+    UnreachableError,
 )
 
 DIRECTORY_OBJECT = "_syd_directory"
@@ -414,40 +418,36 @@ class DirectoryClient:
         """Serve ``lookup_*`` / ``group_members`` reads from ``cache``."""
         self.cache = cache
 
-    def _payload(self, method: str, args: tuple, kwargs: dict) -> dict[str, Any]:
-        return {
-            "object": DIRECTORY_OBJECT,
-            "method": method,
-            "args": list(args),
-            "kwargs": kwargs,
-        }
+    def _call_at(self, node: str, method: str, *args: Any, **kwargs: Any) -> Any:
+        return invoke.call(
+            self.transport,
+            self.node_id,
+            node,
+            invoke.request(DIRECTORY_OBJECT, method, args, kwargs),
+            self.retry_policy,
+        )
 
     def _call(self, method: str, *args: Any, **kwargs: Any) -> Any:
-        from repro.net.retry import retry_call
+        return self._call_at(self.directory_node, method, *args, **kwargs)
 
-        payload = self._payload(method, args, kwargs)
-        # One idempotency key across the retry loop (see SyDEngine).
-        dedup = self.transport.next_dedup(self.node_id, self.directory_node)
-        reply = retry_call(
-            self.retry_policy,
-            self.transport.stats,
-            lambda: self.transport.rpc(
-                self.node_id, self.directory_node, "invoke", payload, dedup=dedup
-            ),
-            tracer=getattr(self.transport, "tracer", None),
-            node=self.node_id,
-        )
-        return reply.get("result")
-
-    def _cached_call(self, key: tuple, method: str, *args: Any) -> Any:
+    def _cached(self, key: tuple, read: Callable[..., Any], *args: Any) -> Any:
+        """Cached value of ``key``, else ``read(*args)``, cached."""
         if self.cache is not None:
             hit = self.cache.get(key)
             if hit is not _MISS:
                 return hit
-        value = self._call(method, *args)
+        value = read(*args)
         if self.cache is not None:
             self.cache.put(key, value)
         return value
+
+    def _leg_node(self, key: tuple) -> str:
+        """Node a batched lookup of ``key`` is sent to."""
+        return self.directory_node
+
+    def _failover(self, key: tuple, error: Exception, method: str, args: tuple) -> Any:
+        """Value of a batched lookup whose leg failed with a transient ``error``."""
+        raise error
 
     def _call_many(
         self, requests: list[tuple[tuple, str, tuple]]
@@ -456,8 +456,9 @@ class DirectoryClient:
 
         Returns one ``(value, error)`` pair per request. Cache hits cost
         nothing; all misses travel in a single ``rpc_many`` batch (~one
-        round trip of virtual time). Errors are the same typed exceptions
-        the sequential path raises.
+        round trip of virtual time), each leg to :meth:`_leg_node`; a leg
+        that failed with a transient error gets one :meth:`_failover`.
+        Errors are the same typed exceptions the sequential path raises.
         """
         results: list[tuple[Any, Exception | None]] = [(None, None)] * len(requests)
         miss_indexes: list[int] = []
@@ -468,24 +469,32 @@ class DirectoryClient:
                     results[i] = (hit, None)
                     continue
             miss_indexes.append(i)
-        if miss_indexes:
-            from repro.net.retry import rpc_many_with_retry
-
-            legs = [
-                (self.directory_node, "invoke", self._payload(requests[i][1], requests[i][2], {}))
-                for i in miss_indexes
-            ]
-            outcomes = rpc_many_with_retry(
-                self.transport, self.node_id, legs, self.retry_policy
+        if not miss_indexes:
+            return results
+        legs = [
+            (
+                self._leg_node(requests[i][0]),
+                invoke.request(DIRECTORY_OBJECT, requests[i][1], requests[i][2]),
             )
-            for i, outcome in zip(miss_indexes, outcomes):
-                if outcome.ok:
-                    value = (outcome.value or {}).get("result")
-                    if self.cache is not None:
-                        self.cache.put(requests[i][0], value)
-                    results[i] = (value, None)
-                else:
-                    results[i] = (None, outcome.error)
+            for i in miss_indexes
+        ]
+        outcomes = invoke.call_many(self.transport, self.node_id, legs, self.retry_policy)
+        for i, outcome in zip(miss_indexes, outcomes):
+            key, method, args = requests[i]
+            if outcome.ok:
+                value = invoke.result(outcome.value)
+            elif isinstance(outcome.error, (MessageDropped, UnreachableError)):
+                try:
+                    value = self._failover(key, outcome.error, method, args)
+                except ReproError as exc:
+                    results[i] = (None, exc)
+                    continue
+            else:
+                results[i] = (None, outcome.error)
+                continue
+            if self.cache is not None:
+                self.cache.put(key, value)
+            results[i] = (value, None)
         return results
 
     def lookup_users_many(self, user_ids) -> list[tuple[dict[str, Any] | None, Exception | None]]:
@@ -507,7 +516,7 @@ class DirectoryClient:
         return self._call("publish_user", user_id, node_id, proxy_node=proxy_node, info=info)
 
     def lookup_user(self, user_id):
-        return self._cached_call(("user", user_id), "lookup_user", user_id)
+        return self._cached(("user", user_id), self._call, "lookup_user", user_id)
 
     def list_users(self):
         return self._call("list_users")
@@ -525,7 +534,9 @@ class DirectoryClient:
         return self._call("register_service", user_id, service, object_name, methods)
 
     def lookup_service(self, user_id, service):
-        return self._cached_call(("service", user_id, service), "lookup_service", user_id, service)
+        return self._cached(
+            ("service", user_id, service), self._call, "lookup_service", user_id, service
+        )
 
     def services_of(self, user_id):
         return self._call("services_of", user_id)
@@ -537,7 +548,7 @@ class DirectoryClient:
         return self._call("form_group", group_id, owner, members)
 
     def group_members(self, group_id):
-        return self._cached_call(("group", group_id), "group_members", group_id)
+        return self._cached(("group", group_id), self._call, "group_members", group_id)
 
     def add_member(self, group_id, user_id):
         return self._call("add_member", group_id, user_id)

@@ -29,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+from repro.kernel import invoke
 from repro.kernel.aggregate import Aggregator, GroupResult, InvocationResult
 from repro.kernel.directory import DirectoryClient
-from repro.net.retry import RetryPolicy, retry_call, rpc_many_with_retry
+from repro.net.retry import RetryPolicy
 from repro.net.transport import Transport
 from repro.security.envelope import Credentials, seal
 from repro.util.errors import ReproError, UnreachableError
@@ -101,12 +102,7 @@ class SyDEngine:
     def _payload(
         self, object_name: str, method: str, args: tuple, kwargs: dict
     ) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "object": object_name,
-            "method": method,
-            "args": list(args),
-            "kwargs": kwargs,
-        }
+        payload = invoke.request(object_name, method, args, kwargs)
         if self.credentials is not None and self.auth_passphrase is not None:
             payload["auth"] = seal(self.credentials, self.auth_passphrase)
         return payload
@@ -130,21 +126,9 @@ class SyDEngine:
         """
         self.calls += 1
         payload = self._payload(object_name, method, args, kwargs)
-        # One idempotency key for the whole retry loop: every re-attempt
-        # carries the same key, so a lost *reply* never double-executes.
-        dedup = self.transport.next_dedup(self.node_id, node_id)
-        reply = retry_call(
-            self.retry_policy,
-            self.transport.stats,
-            lambda: self.transport.rpc(
-                self.node_id, node_id, "invoke", payload, dedup=dedup, deadline=deadline
-            ),
-            tracer=self.transport.tracer,
-            node=self.node_id,
-            deadline=deadline,
-            clock=self.transport.clock,
+        return invoke.call(
+            self.transport, self.node_id, node_id, payload, self.retry_policy, deadline
         )
-        return reply.get("result")
 
     # -- single execution ----------------------------------------------------------
 
@@ -173,7 +157,7 @@ class SyDEngine:
         home = record["node_id"]
         proxy = record.get("proxy_node")
         proxy_first = False
-        if self.health is not None and proxy and self._proxy_fallback_enabled():
+        if self.health is not None and proxy:
             if self.health.is_quarantined(home):
                 self.health.record_verdict(
                     home, actually_healthy=self._ground_truth_healthy(home)
@@ -198,7 +182,7 @@ class SyDEngine:
                 return self.execute_on_node(
                     home, object_name, method, *args, deadline=deadline, **kwargs
                 )
-            if not proxy or not self._proxy_fallback_enabled():
+            if not proxy:
                 raise
             self.proxy_fallbacks += 1
             return self._invoke_via_proxy(
@@ -223,19 +207,9 @@ class SyDEngine:
         # Fresh key for the proxy attempt: the same key must never be
         # executable at two different nodes (the home attempt may have
         # applied before its reply was lost).
-        dedup = self.transport.next_dedup(self.node_id, proxy)
-        reply = retry_call(
-            self.retry_policy,
-            self.transport.stats,
-            lambda: self.transport.rpc(
-                self.node_id, proxy, "invoke", payload, dedup=dedup, deadline=deadline
-            ),
-            tracer=self.transport.tracer,
-            node=self.node_id,
-            deadline=deadline,
-            clock=self.transport.clock,
+        return invoke.call(
+            self.transport, self.node_id, proxy, payload, self.retry_policy, deadline
         )
-        return reply.get("result")
 
     def _ground_truth_healthy(self, node_id: str) -> bool:
         """Fault-plan ground truth for quarantine audits only.
@@ -252,9 +226,6 @@ class SyDEngine:
             and node_id not in faults.slow_nodes()
             and not any(node_id in pair for pair in faults.degraded_pairs())
         )
-
-    def _proxy_fallback_enabled(self) -> bool:
-        return self.retry_policy is None or self.retry_policy.proxy_fallback
 
     # -- batched execution -----------------------------------------------------------
 
@@ -322,28 +293,20 @@ class SyDEngine:
         legs = [
             (
                 record["node_id"],
-                "invoke",
                 self._payload(object_name, specs[i].method, specs[i].args, specs[i].kwargs),
             )
             for i, record, object_name in pending
         ]
         self.calls += len(legs)
-        results = rpc_many_with_retry(
+        results = invoke.call_many(
             self.transport, self.node_id, legs, self.retry_policy, deadline
         )
 
         retry: list[tuple[int, dict[str, Any], str]] = []
-        proxy_ok = self._proxy_fallback_enabled()
         for (i, record, object_name), outcome in zip(pending, results):
             if outcome.ok:
-                outcomes[i] = CallOutcome(
-                    specs[i].user, True, (outcome.value or {}).get("result")
-                )
-            elif (
-                proxy_ok
-                and isinstance(outcome.error, UnreachableError)
-                and record.get("proxy_node")
-            ):
+                outcomes[i] = CallOutcome(specs[i].user, True, invoke.result(outcome.value))
+            elif isinstance(outcome.error, UnreachableError) and record.get("proxy_node"):
                 retry.append((i, record, object_name))
             else:
                 outcomes[i] = CallOutcome(specs[i].user, False, error=outcome.error)
@@ -356,19 +319,16 @@ class SyDEngine:
                     object_name, specs[i].method, specs[i].args, specs[i].kwargs
                 )
                 payload["for_user"] = specs[i].user
-                proxy_legs.append((record["proxy_node"], "invoke", payload))
+                proxy_legs.append((record["proxy_node"], payload))
             self.calls += len(proxy_legs)
             self.proxy_fallbacks += len(proxy_legs)
-            proxy_results = rpc_many_with_retry(
+            proxy_results = invoke.call_many(
                 self.transport, self.node_id, proxy_legs, self.retry_policy, deadline
             )
             for (i, _record, _object_name), outcome in zip(retry, proxy_results):
                 if outcome.ok:
                     outcomes[i] = CallOutcome(
-                        specs[i].user,
-                        True,
-                        (outcome.value or {}).get("result"),
-                        via_proxy=True,
+                        specs[i].user, True, invoke.result(outcome.value), via_proxy=True
                     )
                 else:
                     outcomes[i] = CallOutcome(

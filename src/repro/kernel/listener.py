@@ -20,6 +20,7 @@ from typing import Any, Callable
 
 from repro.device.object import SyDDeviceObject
 from repro.device.registry import MethodRegistry
+from repro.kernel import invoke
 from repro.net import dedup as dedup_mod
 from repro.net.dedup import DedupTable
 from repro.net.message import Message
@@ -218,10 +219,7 @@ class SyDListener:
     def _execute(self, msg: Message, key) -> dict[str, Any]:
         """Authenticate, look up and run the target method."""
         payload = msg.payload
-        object_name = payload["object"]
-        method = payload["method"]
-        args = payload.get("args", [])
-        kwargs = payload.get("kwargs", {})
+        object_name, method, args, kwargs = invoke.target(payload)
         try:
             self._check_auth(object_name, payload)
         except AuthenticationError:
@@ -252,7 +250,7 @@ class SyDListener:
         self._metric("kernel.invocations")
         for hook in list(self._post_hooks):
             hook(object_name, method, list(args), dict(kwargs), result)
-        return {"result": result}
+        return invoke.reply(result)
 
     def _replay(self, cached: dict[str, Any]) -> dict[str, Any]:
         """Re-issue a cached outcome: return a reply copy or raise the error."""

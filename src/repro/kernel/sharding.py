@@ -42,9 +42,10 @@ from typing import Any, Callable
 
 from repro.datastore.predicate import where
 from repro.datastore.store import RelationalStore
+from repro.kernel import invoke
 from repro.kernel.directory import (
-    _MISS,
     DEFAULT_DIRECTORY_NODE,
+    DIRECTORY_OBJECT,
     DirectoryClient,
     SyDDirectoryService,
 )
@@ -56,6 +57,12 @@ from repro.util.errors import MessageDropped, ReproError, UnreachableError
 
 #: metrics node the controller's own counters live under
 CONTROL = "directory-control"
+
+#: hedge timer base in simulated seconds — a healthy primary gets the full
+#: base before the second leg fires, a suspected one proportionally less;
+#: ordinary round trips finish well under it, so healthy reads never send
+#: a hedge leg
+HEDGE_BASE = 0.25
 
 
 class DirectoryShard:
@@ -375,12 +382,12 @@ class ShardedDirectoryClient(DirectoryClient):
 
     Reads try owners in ring order, failing over past unreachable or
     dropped replicas (each attempt under the node's retry policy).
-    Writes fan out to all R owners in one scatter-gather batch
-    (:func:`rpc_many_with_retry`); the primary's outcome decides, with
-    replica outcomes adopted only when the primary is unreachable.
-    ``lookup_users_many`` / ``lookup_services_many`` stay single-batch:
-    their legs target each key's primary shard, so one ``rpc_many``
-    carries per-shard sub-batches.
+    Writes fan out to all R owners in one scatter-gather batch; the
+    primary's outcome decides, with replica outcomes adopted only when
+    the primary is unreachable. ``lookup_users_many`` /
+    ``lookup_services_many`` stay single-batch: their legs target each
+    key's primary shard, so one ``rpc_many`` carries per-shard
+    sub-batches.
     """
 
     def __init__(self, node_id: str, transport, topology: ShardedDirectory):
@@ -394,29 +401,8 @@ class ShardedDirectoryClient(DirectoryClient):
         #: a second leg at the next ring owner after a suspicion-scaled
         #: delay, first reply wins (see :meth:`Transport.rpc_hedged`)
         self.hedge = False
-        #: hedge timer base in simulated seconds — a healthy primary gets
-        #: the full base before the second leg fires, a suspected one
-        #: proportionally less; ordinary round trips finish well under it,
-        #: so healthy reads never send a hedge leg
-        self.hedge_base = 0.25
 
     # -- plumbing -------------------------------------------------------------
-
-    def _call_at(self, directory_node: str, method: str, *args: Any, **kwargs: Any) -> Any:
-        from repro.net.retry import retry_call
-
-        payload = self._payload(method, args, kwargs)
-        dedup = self.transport.next_dedup(self.node_id, directory_node)
-        reply = retry_call(
-            self.retry_policy,
-            self.transport.stats,
-            lambda: self.transport.rpc(
-                self.node_id, directory_node, "invoke", payload, dedup=dedup
-            ),
-            tracer=getattr(self.transport, "tracer", None),
-            node=self.node_id,
-        )
-        return reply.get("result")
 
     def _ranked(self, owner_nodes: list[str]) -> list[str]:
         """Owners in suspicion order (ring order when health is off)."""
@@ -431,20 +417,20 @@ class ShardedDirectoryClient(DirectoryClient):
             # next-ranked owner after a suspicion-scaled delay, first
             # reply wins. Failures fall through to the plain sequential
             # failover below (which retries under the node's policy).
-            delay = self.health.hedge_delay(owner_nodes[0], self.hedge_base)
+            delay = self.health.hedge_delay(owner_nodes[0], HEDGE_BASE)
             try:
                 reply = self.transport.rpc_hedged(
                     self.node_id,
                     owner_nodes[0],
                     owner_nodes[1],
-                    "invoke",
-                    self._payload(method, args, {}),
+                    invoke.KIND,
+                    invoke.request(DIRECTORY_OBJECT, method, args),
                     delay,
                 )
             except (MessageDropped, UnreachableError):
                 pass
             else:
-                return (reply or {}).get("result")
+                return invoke.result(reply)
         last: Exception | None = None
         for node in owner_nodes:
             try:
@@ -453,49 +439,46 @@ class ShardedDirectoryClient(DirectoryClient):
                 last = exc
         raise last  # every owner unreachable
 
-    def _cached_read(self, key: tuple, method: str, *args: Any) -> Any:
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not _MISS:
-                return hit
-        value = self._read(self.topology.owner_nodes_for(key), method, *args)
-        if self.cache is not None:
-            self.cache.put(key, value)
-        return value
+    def _read_owned(self, key: tuple, method: str, *args: Any) -> Any:
+        """Read from ``key``'s owners, resolved only on a cache miss."""
+        return self._read(self.topology.owner_nodes_for(key), method, *args)
+
+    def _leg_node(self, key: tuple) -> str:
+        return self.topology.owner_nodes_for(key)[0]
+
+    def _failover(self, key: tuple, error: Exception, method: str, args: tuple) -> Any:
+        replicas = self.topology.owner_nodes_for(key)[1:]
+        if not replicas:
+            raise error
+        return self._read(replicas, method, *args)
+
+    def _fan_out(self, nodes: list[str], method: str, *args: Any, **kwargs: Any) -> list:
+        """One scatter-gather batch invoking ``method`` at every node."""
+        legs = [
+            (node, invoke.request(DIRECTORY_OBJECT, method, args, kwargs)) for node in nodes
+        ]
+        return invoke.call_many(self.transport, self.node_id, legs, self.retry_policy)
 
     def _write(self, owner_nodes: list[str], method: str, *args: Any, **kwargs: Any) -> Any:
-        from repro.net.retry import rpc_many_with_retry
-
-        legs = [
-            (node, "invoke", self._payload(method, args, kwargs))
-            for node in owner_nodes
-        ]
-        outcomes = rpc_many_with_retry(self.transport, self.node_id, legs, self.retry_policy)
+        outcomes = self._fan_out(owner_nodes, method, *args, **kwargs)
         primary = outcomes[0]
         if primary.ok:
-            return (primary.value or {}).get("result")
+            return invoke.result(primary.value)
         if isinstance(primary.error, (MessageDropped, UnreachableError)):
             # Primary down: the first replica that answered decides —
             # repair_shard reconciles the primary when it returns.
             for outcome in outcomes[1:]:
                 if outcome.ok:
-                    return (outcome.value or {}).get("result")
+                    return invoke.result(outcome.value)
                 if not isinstance(outcome.error, (MessageDropped, UnreachableError)):
                     raise outcome.error
         raise primary.error
 
     def _union(self, method: str) -> list[str]:
-        from repro.net.retry import rpc_many_with_retry
-
-        legs = [
-            (node, "invoke", self._payload(method, (), {}))
-            for node in self.topology.all_shard_nodes()
-        ]
-        outcomes = rpc_many_with_retry(self.transport, self.node_id, legs, self.retry_policy)
         merged: set[str] = set()
-        for outcome in outcomes:
+        for outcome in self._fan_out(self.topology.all_shard_nodes(), method):
             if outcome.ok:
-                merged.update((outcome.value or {}).get("result") or [])
+                merged.update(invoke.result(outcome.value) or [])
             elif not isinstance(outcome.error, (MessageDropped, UnreachableError)):
                 raise outcome.error
             # Unreachable shards are tolerated: replication means their
@@ -507,59 +490,6 @@ class ShardedDirectoryClient(DirectoryClient):
 
     def _group_nodes(self, group_id: str) -> list[str]:
         return self.topology.owner_nodes_for(("group", group_id))
-
-    def _call_many(
-        self, requests: list[tuple[tuple, str, tuple]]
-    ) -> list[tuple[Any, Exception | None]]:
-        """Batched lookups: one ``rpc_many`` of per-shard sub-batches.
-
-        Every cache miss becomes a leg addressed to its key's primary
-        shard; legs whose primary is unreachable fail over sequentially
-        to the key's replicas.
-        """
-        from repro.net.retry import rpc_many_with_retry
-
-        results: list[tuple[Any, Exception | None]] = [(None, None)] * len(requests)
-        miss_indexes: list[int] = []
-        for i, (key, _method, _args) in enumerate(requests):
-            if self.cache is not None:
-                hit = self.cache.get(key)
-                if hit is not _MISS:
-                    results[i] = (hit, None)
-                    continue
-            miss_indexes.append(i)
-        if not miss_indexes:
-            return results
-        legs = [
-            (
-                self.topology.owner_nodes_for(requests[i][0])[0],
-                "invoke",
-                self._payload(requests[i][1], requests[i][2], {}),
-            )
-            for i in miss_indexes
-        ]
-        outcomes = rpc_many_with_retry(self.transport, self.node_id, legs, self.retry_policy)
-        for i, outcome in zip(miss_indexes, outcomes):
-            key, method, args = requests[i]
-            if outcome.ok:
-                value = (outcome.value or {}).get("result")
-            elif isinstance(outcome.error, (MessageDropped, UnreachableError)):
-                replicas = self.topology.owner_nodes_for(key)[1:]
-                if not replicas:
-                    results[i] = (None, outcome.error)
-                    continue
-                try:
-                    value = self._read(replicas, method, *args)
-                except ReproError as exc:
-                    results[i] = (None, exc)
-                    continue
-            else:
-                results[i] = (None, outcome.error)
-                continue
-            if self.cache is not None:
-                self.cache.put(key, value)
-            results[i] = (value, None)
-        return results
 
     # -- verbs ----------------------------------------------------------------
 
@@ -574,7 +504,8 @@ class ShardedDirectoryClient(DirectoryClient):
         )
 
     def lookup_user(self, user_id):
-        return self._cached_read(("user", user_id), "lookup_user", user_id)
+        key = ("user", user_id)
+        return self._cached(key, self._read_owned, key, "lookup_user", user_id)
 
     def list_users(self):
         return self._union("list_users")
@@ -599,9 +530,8 @@ class ShardedDirectoryClient(DirectoryClient):
         )
 
     def lookup_service(self, user_id, service):
-        return self._cached_read(
-            ("service", user_id, service), "lookup_service", user_id, service
-        )
+        key = ("service", user_id, service)
+        return self._cached(key, self._read_owned, key, "lookup_service", user_id, service)
 
     def services_of(self, user_id):
         return self._read(self._user_nodes(user_id), "services_of", user_id)
@@ -627,7 +557,8 @@ class ShardedDirectoryClient(DirectoryClient):
         )
 
     def group_members(self, group_id):
-        return self._cached_read(("group", group_id), "group_members", group_id)
+        key = ("group", group_id)
+        return self._cached(key, self._read_owned, key, "group_members", group_id)
 
     def add_member(self, group_id, user_id):
         self.lookup_user(user_id)  # raises UnknownUserError on their shard
@@ -650,16 +581,9 @@ class ShardedDirectoryClient(DirectoryClient):
 
     def directory_epoch(self):
         """Sum of per-shard epochs (the fleet-wide mutation count)."""
-        from repro.net.retry import rpc_many_with_retry
-
-        legs = [
-            (node, "invoke", self._payload("directory_epoch", (), {}))
-            for node in self.topology.all_shard_nodes()
-        ]
-        outcomes = rpc_many_with_retry(self.transport, self.node_id, legs, self.retry_policy)
         total = 0
-        for outcome in outcomes:
+        for outcome in self._fan_out(self.topology.all_shard_nodes(), "directory_epoch"):
             if not outcome.ok:
                 raise outcome.error
-            total += (outcome.value or {}).get("result") or 0
+            total += invoke.result(outcome.value) or 0
         return total

@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro.net.transport import Transport
 from repro.util.errors import DeadlineExceeded, MessageDropped, UnreachableError
 from repro.util.trace import maybe_span
 
@@ -33,28 +34,19 @@ class RetryPolicy:
 
     ``max_attempts`` counts total tries per leg (1 disables retries).
     ``rng`` supplies the jitter draw (seed it for determinism); ``sleep``
-    receives the backoff delay in simulated seconds. ``proxy_fallback``
-    gates the engine's failover to the user's proxy after retries are
-    exhausted.
+    receives the backoff delay in simulated seconds.
     """
 
     max_attempts: int = 4
     base_delay: float = 0.2
     max_delay: float = 2.0
     jitter: float = 0.5
-    retry_dropped: bool = True
-    retry_unreachable: bool = True
-    proxy_fallback: bool = True
     rng: random.Random | None = None
     sleep: Callable[[float], None] | None = None
 
     def retryable(self, error: BaseException) -> bool:
         """Is ``error`` a transient transport failure worth re-sending?"""
-        if isinstance(error, MessageDropped):
-            return self.retry_dropped
-        if isinstance(error, UnreachableError):
-            return self.retry_unreachable
-        return False
+        return isinstance(error, (MessageDropped, UnreachableError))
 
     def backoff(self, attempt: int) -> float:
         """Delay before retry number ``attempt`` (the first retry is 1).
@@ -149,7 +141,7 @@ def retry_call(
 
 
 def rpc_many_with_retry(
-    transport,
+    transport: Transport,
     src: str,
     legs: Sequence,
     policy: RetryPolicy | None,
@@ -164,29 +156,20 @@ def rpc_many_with_retry(
     re-using their pre-stamped idempotency keys. Returns the final
     outcome list, positionally matching ``legs``.
 
-    Legs are pre-stamped with idempotency keys (when the transport
-    supports it) so every re-send of a leg carries the same key and the
-    receiver's dedup table can replay instead of re-executing — the
-    at-least-once → exactly-once upgrade.
+    Legs are pre-stamped with idempotency keys so every re-send of a leg
+    carries the same key and the receiver's dedup table can replay
+    instead of re-executing — the at-least-once → exactly-once upgrade.
 
     With a ``deadline``, every wave inherits it (legs that would land
     past it fail with :class:`DeadlineExceeded`, which is not
     retryable), and the wave loop stops as soon as the remaining budget
     cannot cover the next backoff.
     """
-    stamp = getattr(transport, "stamp_calls", None)
-    if stamp is not None:
-        legs = stamp(src, legs)
-    # Deadline passed positionally only when set: duck-typed transports
-    # (test doubles, wrappers) keep working unchanged without one.
-    outcomes = (
-        transport.rpc_many(src, legs)
-        if deadline is None
-        else transport.rpc_many(src, legs, deadline)
-    )
+    legs = transport.stamp_calls(src, legs)
+    outcomes = transport.rpc_many(src, legs, deadline)
     if policy is None:
         return outcomes
-    tracer = getattr(transport, "tracer", None)
+    tracer = transport.tracer
     attempt = 1
     while attempt < policy.max_attempts:
         pending = [
@@ -213,11 +196,7 @@ def rpc_many_with_retry(
             policy.pause_for(backoff)
             transport.stats.record_retry(len(pending))
             wave = [legs[i] for i in pending]
-            redone = (
-                transport.rpc_many(src, wave)
-                if deadline is None
-                else transport.rpc_many(src, wave, deadline)
-            )
+            redone = transport.rpc_many(src, wave, deadline)
         for i, outcome in zip(pending, redone):
             outcomes[i] = outcome
             if outcome.ok:

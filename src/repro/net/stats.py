@@ -18,43 +18,18 @@ Scatter-gather batches (``Transport.rpc_many``) are accounted twice:
 every leg's delay lands in the ordinary per-message counters (so
 ``latency`` remains total network *busy time*, independent of
 concurrency), and the batch itself increments ``concurrent_batches`` /
-``batched_legs`` plus a coarse power-of-two histogram of batch
-critical-path delays (``batch_latency_hist``), mirrored into the
-registry's ``net.batch_latency`` digest.
+``batched_legs`` and records its critical-path delay in the registry's
+``net.batch_latency`` digest.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["latency_bucket", "StatsSnapshot", "NetworkStats"]
-
-
-#: interned bucket labels, keyed by power-of-two exponent
-_BUCKET_LABELS: dict[int, str] = {}
-
-
-def latency_bucket(delay: float) -> str:
-    """Power-of-two millisecond bucket label for a delay in seconds.
-
-    Computed via ``math.frexp`` (one float decompose) rather than
-    ``log2``/``ceil`` method chains; labels are interned per exponent so
-    the hot path never re-formats a string it has produced before.
-    """
-    ms = delay * 1e3
-    if ms <= 1.0:
-        return "<=1ms"
-    mantissa, exp = math.frexp(ms)  # ms == mantissa * 2**exp, 0.5 <= mantissa < 1
-    if mantissa == 0.5:  # exact power of two belongs in its own bucket
-        exp -= 1
-    label = _BUCKET_LABELS.get(exp)
-    if label is None:
-        label = _BUCKET_LABELS[exp] = f"<={1 << exp}ms"
-    return label
+__all__ = ["StatsSnapshot", "NetworkStats"]
 
 
 def _counter_delta(later: Counter, earlier: Counter) -> Counter:
@@ -81,7 +56,6 @@ class StatsSnapshot:
     by_kind: Counter = field(default_factory=Counter)
     concurrent_batches: int = 0
     batched_legs: int = 0
-    batch_latency_hist: Counter = field(default_factory=Counter)
     retries: int = 0
     retry_successes: int = 0
     reply_lost: int = 0
@@ -102,9 +76,6 @@ class StatsSnapshot:
             by_kind=_counter_delta(self.by_kind, earlier.by_kind),
             concurrent_batches=self.concurrent_batches - earlier.concurrent_batches,
             batched_legs=self.batched_legs - earlier.batched_legs,
-            batch_latency_hist=_counter_delta(
-                self.batch_latency_hist, earlier.batch_latency_hist
-            ),
             retries=self.retries - earlier.retries,
             retry_successes=self.retry_successes - earlier.retry_successes,
             reply_lost=self.reply_lost - earlier.reply_lost,
@@ -120,10 +91,9 @@ class NetworkStats:
 
     A standalone ``NetworkStats()`` owns a private registry; a world
     passes its shared one so traffic counters appear in the fleet-wide
-    snapshot. ``by_kind`` / ``batch_latency_hist`` stay real ``Counter``
-    objects (tests compare them directly) and are mirrored into the
-    registry as ``net.by_kind.<kind>`` counters and the
-    ``net.batch_latency`` digest.
+    snapshot. ``by_kind`` stays a real ``Counter`` (tests compare it
+    directly) and is mirrored into the registry as ``net.by_kind.<kind>``
+    counters.
     """
 
     NODE = "net"
@@ -131,7 +101,6 @@ class NetworkStats:
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.by_kind: Counter = Counter()
-        self.batch_latency_hist: Counter = Counter()
         # Hot-path plumbing: the delivery recorders run once per simulated
         # message leg, so they write the registry's counter dict directly
         # with precomputed (node, name) key tuples instead of paying a
@@ -249,7 +218,6 @@ class NetworkStats:
         """Account one scatter-gather batch of ``legs`` concurrent calls."""
         self._inc("concurrent_batches")
         self._inc("batched_legs", legs)
-        self.batch_latency_hist[latency_bucket(max_delay)] += 1
         self.registry.record_value(self.NODE, "net.batch_latency", max_delay)
 
     def record_retry(self, legs: int = 1) -> None:
@@ -292,7 +260,6 @@ class NetworkStats:
             by_kind=Counter(self.by_kind),
             concurrent_batches=self.concurrent_batches,
             batched_legs=self.batched_legs,
-            batch_latency_hist=Counter(self.batch_latency_hist),
             retries=self.retries,
             retry_successes=self.retry_successes,
             reply_lost=self.reply_lost,
@@ -306,4 +273,3 @@ class NetworkStats:
         """Zero all counters (registry metrics under ``"net"`` included)."""
         self.registry.reset_node(self.NODE)
         self.by_kind.clear()
-        self.batch_latency_hist.clear()

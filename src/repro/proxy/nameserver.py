@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.device.object import SyDDeviceObject, exported
+from repro.kernel import invoke
 from repro.util.errors import DirectoryError, DuplicateRegistrationError
 
 NAMESERVER_OBJECT = "_syd_nameserver"
@@ -89,13 +90,14 @@ class NameServerClient:
         self.nameserver_node = nameserver_node
 
     def _call(self, method: str, *args: Any) -> Any:
+        # A plain rpc, not invoke.call: no retry loop, no net.call span.
         reply = self.transport.rpc(
             self.node_id,
             self.nameserver_node,
-            "invoke",
-            {"object": NAMESERVER_OBJECT, "method": method, "args": list(args), "kwargs": {}},
+            invoke.KIND,
+            invoke.request(NAMESERVER_OBJECT, method, args),
         )
-        return reply.get("result")
+        return invoke.result(reply)
 
     def register_proxy(self, proxy_node: str) -> int:
         return self._call("register_proxy", proxy_node)

@@ -29,6 +29,7 @@ from repro.datastore.snapshot import import_into
 from repro.datastore.store import DataStore
 from repro.datastore.wal import ChangeJournal, JournalEntry, replay
 from repro.device.object import SyDDeviceObject, exported
+from repro.kernel import invoke
 from repro.kernel.listener import SyDListener
 from repro.net.address import DeviceClass, NodeAddress
 from repro.net.message import Message
@@ -201,13 +202,14 @@ class ProxyHost:
 
     def handle_message(self, msg: Message) -> dict[str, Any]:
         """Answer control calls and impersonated application calls."""
-        if msg.kind != "invoke":
+        if msg.kind != invoke.KIND:
             raise NetworkError(f"proxy {self.node_id} cannot handle kind {msg.kind!r}")
         for_user = msg.payload.get("for_user")
         if for_user is None:
             return self.listener.handle_invoke(msg)
         session = self.session(for_user)
-        fn = session.registry.lookup(msg.payload["object"], msg.payload["method"])
-        result = fn(*msg.payload.get("args", []), **msg.payload.get("kwargs", {}))
+        object_name, method, args, kwargs = invoke.target(msg.payload)
+        fn = session.registry.lookup(object_name, method)
+        result = fn(*args, **kwargs)
         session.serving_calls += 1
-        return {"result": result}
+        return invoke.reply(result)

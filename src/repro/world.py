@@ -130,11 +130,10 @@ class SyDWorld:
             self.directory_listener = SyDListener(
                 directory_node, dedup=directory_dedup, tracer=self.tracer, metrics=self.metrics
             )
-            self._directory_listener = self.directory_listener  # backwards-compat alias
-            self._directory_listener.publish_object(self.directory_service)
+            self.directory_listener.publish_object(self.directory_service)
             self.transport.register(
                 NodeAddress(directory_node, DeviceClass.SERVER),
-                lambda msg: self._directory_listener.handle_invoke(msg),
+                lambda msg: self.directory_listener.handle_invoke(msg),
             )
         else:
             from repro.kernel.sharding import ShardedDirectory
@@ -153,7 +152,6 @@ class SyDWorld:
             # injectors and invariant checkers read as ground truth.
             self.directory_service = self.directory_topology
             self.directory_listener = None
-            self._directory_listener = None
         #: adaptive robustness layer (off by default — zero hot-path cost
         #: when ``transport.health is None``): a phi-accrual
         #: HealthMonitor fed by piggybacked RPC outcomes and message-free

@@ -35,9 +35,6 @@ class TestBackoff:
         assert policy.retryable(MessageDropped("x"))
         assert policy.retryable(UnreachableError("x"))
         assert not policy.retryable(ValueError("x"))
-        off = RetryPolicy(retry_dropped=False, retry_unreachable=False)
-        assert not off.retryable(MessageDropped("x"))
-        assert not off.retryable(UnreachableError("x"))
 
 
 class TestRetryCall:
@@ -99,12 +96,17 @@ class TestRetryCall:
 class _ScriptedTransport:
     """rpc_many stub: each leg (a string) fails ``plan[leg]`` times."""
 
+    tracer = None
+
     def __init__(self, plan):
         self.stats = NetworkStats()
         self.plan = dict(plan)
         self.batches = []
 
-    def rpc_many(self, src, legs):
+    def stamp_calls(self, src, legs):
+        return legs
+
+    def rpc_many(self, src, legs, deadline=None):
         self.batches.append(list(legs))
         outcomes = []
         for leg in legs:

@@ -16,6 +16,7 @@ from repro.util.errors import (
     UnknownGroupError,
     UnknownServiceError,
     UnknownUserError,
+    UnreachableError,
 )
 from repro.world import SyDWorld
 
@@ -224,3 +225,45 @@ def test_per_shard_cache_unit_level():
     assert cache.get(("user", "apple")) is _MISS  # flushed
     assert cache.flushes == 1
     assert cache.filled_epochs() == {"a": 1, "b": 0}
+
+
+@pytest.mark.parametrize(
+    "shards, replicas", [(1, 1), (4, 1), (4, 2)], ids=["single", "4x1", "4x2"]
+)
+def test_batched_lookups_match_sequential_with_owner_down(shards, replicas):
+    """With the key's primary down (or the directory node, unsharded),
+    every batched entry equals the sequential lookup's value or carries
+    its error type. At 4x1 the down shard has no replica left to fail
+    over to; at 4x2 both paths read the replica."""
+    world = SyDWorld(seed=11, directory_shards=shards, directory_replicas=replicas)
+    for user in USERS:
+        world.add_node(user)
+    topology = world.directory_topology
+    down = (
+        world.directory_node
+        if topology is None
+        else topology.owner_nodes_for(("user", "bob"))[0]
+    )
+    world.transport.faults.set_down(down)
+    client = world.node("alice").directory
+    users = USERS + ["ghost"]
+    pairs = [(user, "_syd_links") for user in users] + [("bob", "nothing")]
+
+    def sequential(lookup, *args):
+        try:
+            return lookup(*args), None
+        except Exception as exc:  # noqa: BLE001 — captured for comparison
+            return None, type(exc)
+
+    def typed(entries):
+        return [(value, type(error) if error else None) for value, error in entries]
+
+    expected_users = [sequential(client.lookup_user, user) for user in users]
+    expected_services = [sequential(client.lookup_service, *pair) for pair in pairs]
+    assert typed(client.lookup_users_many(users)) == expected_users
+    assert typed(client.lookup_services_many(pairs)) == expected_services
+    bob = expected_users[users.index("bob")]
+    if replicas == 1:
+        assert bob == (None, UnreachableError)
+    else:
+        assert bob[1] is None and bob[0]["user_id"] == "bob"

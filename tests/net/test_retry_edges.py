@@ -53,12 +53,6 @@ class TestRetryCall:
         assert stats.retries == 2
         assert stats.retry_successes == 1
 
-    def test_selective_retryability_flags(self):
-        policy = RetryPolicy(retry_dropped=False)
-        assert not policy.retryable(MessageDropped("x"))
-        with pytest.raises(MessageDropped):
-            retry_call(policy, None, lambda: (_ for _ in ()).throw(MessageDropped("x")))
-
 
 class TestBackoffJitter:
     def test_fixed_seed_gives_identical_backoff_sequences(self):

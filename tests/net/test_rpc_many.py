@@ -4,7 +4,6 @@ import pytest
 
 from repro.net.address import DeviceClass, NodeAddress
 from repro.net.latency import ConstantLatency, LatencyModel, UniformLatency
-from repro.net.stats import latency_bucket
 from repro.net.transport import RpcCall, Transport
 from repro.util.errors import (
     MessageDropped,
@@ -74,8 +73,9 @@ class TestHappyPath:
         t.rpc_many("a", [RpcCall("b", "ping"), RpcCall("c", "ping"), RpcCall("d", "ping")])
         assert t.stats.concurrent_batches == 1
         assert t.stats.batched_legs == 3
-        # one batch, max delay 1.0 s -> the "<=1024ms" power-of-two bucket
-        assert t.stats.batch_latency_hist == {"<=1024ms": 1}
+        # one batch, recorded at its critical-path delay of 1.0 s
+        digest = t.stats.registry.digest("net", "net.batch_latency")
+        assert (digest.count, digest.min, digest.max) == (1, 1.0, 1.0)
 
     def test_empty_batch_is_free(self):
         t = make_world()
@@ -194,15 +194,6 @@ class TestDeterminism:
         _, snap1 = self._run(7)
         _, snap2 = self._run(8)
         assert snap1.latency != snap2.latency
-
-
-class TestLatencyBucket:
-    def test_power_of_two_labels(self):
-        assert latency_bucket(0.0005) == "<=1ms"
-        assert latency_bucket(0.001) == "<=1ms"
-        assert latency_bucket(0.0011) == "<=2ms"
-        assert latency_bucket(0.05) == "<=64ms"
-        assert latency_bucket(1.0) == "<=1024ms"
 
 
 class TestStampCalls:

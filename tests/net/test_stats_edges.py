@@ -1,29 +1,14 @@
-"""NetworkStats edge cases: bucket boundaries, batch counters, retry
-counters, snapshot/delta arithmetic."""
+"""NetworkStats edge cases: batch counters, retry counters,
+snapshot/delta arithmetic."""
 
 import pytest
 
-from repro.net.stats import NetworkStats, latency_bucket
+from repro.net.stats import NetworkStats
 
 
-class TestLatencyBucket:
-    def test_zero_and_sub_millisecond(self):
-        assert latency_bucket(0.0) == "<=1ms"
-        assert latency_bucket(0.0005) == "<=1ms"
-        assert latency_bucket(0.001) == "<=1ms"  # boundary is inclusive
-
-    def test_power_of_two_boundaries(self):
-        assert latency_bucket(0.0011) == "<=2ms"
-        assert latency_bucket(0.002) == "<=2ms"
-        assert latency_bucket(0.0021) == "<=4ms"
-        assert latency_bucket(0.004) == "<=4ms"
-        assert latency_bucket(0.1) == "<=128ms"
-        assert latency_bucket(1.0) == "<=1024ms"
-
-    def test_buckets_are_monotone(self):
-        delays = [0.0001 * (1.3 ** i) for i in range(40)]
-        sizes = [int(latency_bucket(d)[2:-2]) for d in delays]
-        assert sizes == sorted(sizes)
+def _batch_latency(stats):
+    """The ``net.batch_latency`` digest every batch is recorded in."""
+    return stats.registry.digest(NetworkStats.NODE, "net.batch_latency")
 
 
 class TestBatchCounters:
@@ -32,7 +17,8 @@ class TestBatchCounters:
         stats.record_batch(0, 0.0)
         assert stats.concurrent_batches == 1
         assert stats.batched_legs == 0
-        assert stats.batch_latency_hist == {"<=1ms": 1}
+        digest = _batch_latency(stats)
+        assert (digest.count, digest.min, digest.max) == (1, 0.0, 0.0)
 
     def test_batches_accumulate_histogram(self):
         stats = NetworkStats()
@@ -40,7 +26,8 @@ class TestBatchCounters:
         stats.record_batch(5, 0.003)
         stats.record_batch(2, 0.003)
         assert stats.batched_legs == 10
-        assert stats.batch_latency_hist == {"<=1ms": 1, "<=4ms": 2}
+        digest = _batch_latency(stats)
+        assert (digest.count, digest.min, digest.max) == (3, 0.0008, 0.003)
 
 
 class TestRetryCounters:
@@ -102,23 +89,21 @@ class TestSnapshotDelta:
         assert delta.by_kind == {"reply": 1, "invoke": 0}
         assert delta.concurrent_batches == 1
         assert delta.batched_legs == 4
-        assert delta.batch_latency_hist == {"<=2ms": 1}
+        digest = _batch_latency(stats)
+        assert (digest.count, digest.min, digest.max) == (1, 0.002, 0.002)
 
     def test_delta_preserves_zero_and_negative_keys(self):
         """Regression: plain Counter subtraction silently drops zero and
-        negative entries, losing kinds/buckets from deltas."""
+        negative entries, losing kinds from deltas."""
         stats = NetworkStats()
         stats.record_delivery("invoke", 10, 0.001, is_reply=False)
         stats.record_delivery("directory", 10, 0.001, is_reply=False)
-        stats.record_batch(2, 0.0005)
         before = stats.snapshot()
         stats.record_delivery("invoke", 10, 0.001, is_reply=False)
         delta = stats.snapshot().delta(before)
         # "directory" did not move but must still appear, with count 0.
         assert delta.by_kind == {"invoke": 1, "directory": 0}
         assert "directory" in delta.by_kind
-        assert delta.batch_latency_hist == {"<=1ms": 0}
-        assert "<=1ms" in delta.batch_latency_hist
         # A reset between snapshots yields *negative* entries, not silence.
         stats.reset()
         gone = stats.snapshot().delta(before)
