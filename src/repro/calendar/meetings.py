@@ -25,6 +25,7 @@ through coordination links and negotiations:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from typing import Any, Sequence
 
@@ -33,13 +34,18 @@ from repro.calendar.model import (
     MeetingStatus,
     OrGroup,
     SlotStatus,
-    entity_to_id,
 )
 from repro.calendar.notifications import MailSystem
 from repro.calendar.scheduler import candidate_slots
 from repro.calendar.service import CalendarService
 from repro.kernel.node import SyDNode
-from repro.txn.coordinator import AND, Participant, at_least
+from repro.txn.coordinator import (
+    AND,
+    Constraint,
+    NegotiationResult,
+    Participant,
+    at_least,
+)
 from repro.util.errors import (
     CalendarError,
     CoordinatorCrashed,
@@ -94,6 +100,16 @@ def _traced(name: str, key: str | None = None):
     return deco
 
 
+#: role -> (link type, subtype, callback at the initiator) of each back
+#: link an initiator installs at a participant (§5)
+_BACK_LINKS = {
+    "back": ("negotiation", None, None),
+    "tentative-back": ("negotiation", "tentative", "on_participant_available"),
+    "supervisor-back": ("subscription", None, "on_supervisor_changed"),
+    "back-subscription": ("subscription", None, "on_peer_change"),
+}
+
+
 class MeetingManager:
     """Per-user driver of the calendar application."""
 
@@ -103,14 +119,10 @@ class MeetingManager:
         self.mail = mail
         self.user = node.user
         self._ids = IdGenerator()
+        self._delegates: set[str] = set()
         service.manager = self
-        #: automatic rescheduling of bumped meetings (§6) — on by default
-        self.auto_reschedule = True
         # Experiment counters.
-        self.scheduled_confirmed = 0
-        self.scheduled_tentative = 0
         self.promotions = 0
-        self.bumps_handled = 0
         self.reschedules = 0
         self.reschedule_map: dict[str, str] = {}
         node.events.on_local("calendar.participant_available", self._on_participant_available)
@@ -159,8 +171,19 @@ class MeetingManager:
         if priority is None:
             priority = self._default_priority(required)
 
-        meeting_id = self._ids.next(f"mtg-{self.user}")
-        first_failure = None
+        # The slot-less request every attempt turns into a meeting.
+        proto = Meeting(
+            meeting_id=self._ids.next(f"mtg-{self.user}"),
+            initiator=self.user,
+            title=title,
+            slot={},
+            participants=participants,
+            must_attend=must_attend,
+            or_groups=or_groups,
+            supervisors=supervisors,
+            priority=priority,
+            window=(day_from, day_to),
+        )
         if preferred_slot is not None:
             candidates = [preferred_slot]
         else:
@@ -172,51 +195,36 @@ class MeetingManager:
                 # "(ii) set up tentative meetings which could not be set
                 # up otherwise due to unavailability of certain
                 # individuals" (§1): pick the slot with the broadest
-                # availability and go straight to the tentative path.
-                if allow_tentative:
-                    best = self._best_effort_slot(required, day_from, day_to)
-                    if best is not None:
-                        slot, _unavailable = best
-                        # A full-strength attempt at the best slot records
-                        # exactly who refuses (must-attendees *and*
-                        # or-group members); it is all-or-nothing, so a
-                        # failure leaves no residue.
-                        confirmed = self._attempt(
-                            meeting_id, title, slot, participants, must_attend,
-                            or_groups, supervisors, priority, (day_from, day_to),
-                        )
-                        if confirmed is not None:
-                            return confirmed
-                        tentative = self._attempt_tentative(
-                            meeting_id, title, slot, participants, must_attend,
-                            or_groups, supervisors, priority, (day_from, day_to),
-                        )
-                        if tentative is not None:
-                            return tentative
+                # availability; a full-strength attempt there records
+                # exactly who refuses (must-attendees *and* or-group
+                # members) and, being all-or-nothing, leaves no residue.
+                best = (
+                    self._best_effort_slot(required, day_from, day_to)
+                    if allow_tentative else None
+                )
+                if best is not None:
+                    meeting, refused = self._attempt(proto, best)
+                    if meeting is None:
+                        meeting, _ = self._attempt(proto, best, refused)
+                    if meeting is not None:
+                        return meeting
                 raise SchedulingError(
                     f"no common free slot for {required} in days [{day_from}, {day_to}]"
                 )
 
+        first_failure = None
         for slot in candidates:
-            outcome = self._attempt(
-                meeting_id, title, slot, participants, must_attend, or_groups,
-                supervisors, priority, (day_from, day_to),
-            )
-            if outcome is not None and outcome.status is MeetingStatus.CONFIRMED:
-                return outcome
+            meeting, refused = self._attempt(proto, slot)
+            if meeting is not None:
+                return meeting
             if first_failure is None:
-                first_failure = slot
                 # Refusals are per-slot: keep the ones recorded for THIS
                 # slot, not whichever candidate happened to fail last.
-                first_refused = list(getattr(self, "_last_refused", []))
+                first_failure, first_refused = slot, refused
         if allow_tentative and first_failure is not None:
-            self._last_refused = first_refused
-            tentative = self._attempt_tentative(
-                meeting_id, title, first_failure, participants, must_attend,
-                or_groups, supervisors, priority, (day_from, day_to),
-            )
-            if tentative is not None:
-                return tentative
+            meeting, _ = self._attempt(proto, first_failure, first_refused)
+            if meeting is not None:
+                return meeting
         raise SchedulingError(
             f"could not reserve any of {len(candidates)} candidate slots for {title!r}"
         )
@@ -236,9 +244,9 @@ class MeetingManager:
 
     def _best_effort_slot(
         self, required: list[str], day_from: int, day_to: int
-    ) -> tuple[dict[str, int], list[str]] | None:
+    ) -> dict[str, int] | None:
         """The slot (free for the initiator) where the most required
-        users are free; returns (slot, unavailable_users) or None."""
+        users are free, or None."""
         availability = self.node.engine.execute_group(
             required, CAL_SERVICE, "query_free_slots", day_from, day_to
         )
@@ -255,156 +263,113 @@ class MeetingManager:
             if count > best_count:
                 best_key, best_count = key, count
         assert best_key is not None
-        slot = {"day": best_key[0], "hour": best_key[1]}
-        unavailable = [
-            u for u in required if best_key not in free_by_user.get(u, ())
-        ]
-        return slot, unavailable
-
-    def _participants_for(
-        self, users: Sequence[str], slot: dict[str, int], priority: int, meeting_id: str
-    ) -> list[Participant]:
-        return [
-            Participant(
-                u, slot, CAL_SERVICE, mark_args=(priority, meeting_id)
-            )
-            for u in users
-            if u != self.user
-        ]
+        return {"day": best_key[0], "hour": best_key[1]}
 
     def _attempt(
-        self,
-        meeting_id: str,
-        title: str,
-        slot: dict[str, int],
-        participants: list[str],
-        must_attend: list[str],
-        or_groups: list[OrGroup],
-        supervisors: list[str],
-        priority: int,
-        window: tuple[int, int],
-    ) -> Meeting | None:
-        """One full-strength reservation attempt at ``slot``."""
-        groups = [
-            (self._participants_for(_dedup([*must_attend, *supervisors]), slot, priority, meeting_id), AND)
-        ]
-        for g in or_groups:
-            groups.append(
-                (self._participants_for(g.members, slot, priority, meeting_id), at_least(g.k))
-            )
-        change = {
-            "meeting_id": meeting_id,
-            "status": SlotStatus.RESERVED.value,
-            "priority": priority,
-            "title": title,
-        }
-        initiator = Participant(self.user, slot, CAL_SERVICE, mark_args=(priority, meeting_id))
-        result = self._negotiate_or_compensate(initiator, groups, change, slot, meeting_id)
-        if not result.ok:
-            self._last_refused = list(result.refused)
-            return None
-        committed = _dedup(result.changed)
-        meeting = Meeting(
-            meeting_id=meeting_id,
-            initiator=self.user,
-            title=title,
-            slot=slot,
-            participants=participants,
-            must_attend=must_attend,
-            or_groups=or_groups,
-            supervisors=supervisors,
-            priority=priority,
-            status=MeetingStatus.CONFIRMED,
-            committed=committed,
-            missing=[],
-            window=window,
-            created_at=self.node.transport.clock.now(),
-        )
-        self._distribute(meeting)
-        self._create_links(meeting)
-        self.mail.broadcast(
-            self.user,
-            committed,
-            f"Meeting confirmed: {title}",
-            f"{title} at day {slot['day']} hour {slot['hour']} (id {meeting_id})",
-            meeting_id=meeting_id,
-        )
-        self.scheduled_confirmed += 1
-        return meeting
+        self, proto: Meeting, slot: dict[str, int], refused: list[str] | None = None
+    ) -> tuple[Meeting | None, list[str]]:
+        """One reservation attempt for ``proto`` at ``slot``.
 
-    def _attempt_tentative(
-        self,
-        meeting_id: str,
-        title: str,
-        slot: dict[str, int],
-        participants: list[str],
-        must_attend: list[str],
-        or_groups: list[OrGroup],
-        supervisors: list[str],
-        priority: int,
-        window: tuple[int, int],
-    ) -> Meeting | None:
-        """Hold the slot with whoever is available; queue tentative links
-        at the rest (§5: 'for those folks who could not be reserved, a
-        tentative back link to A is queued up at the corresponding
-        slots')."""
-        refused = set(getattr(self, "_last_refused", []))
-        available_must = [u for u in _dedup([*must_attend, *supervisors]) if u not in refused]
-        groups = [(self._participants_for(available_must, slot, priority, meeting_id), AND)]
-        for g in or_groups:
-            avail = [m for m in g.members if m not in refused]
-            groups.append(
-                (
-                    self._participants_for(avail, slot, priority, meeting_id),
-                    at_least(min(g.k, max(len(avail), 0))) if avail else at_least(0),
-                )
-            )
-        change = {
-            "meeting_id": meeting_id,
-            "status": SlotStatus.HELD.value,
-            "priority": priority,
-            "title": title,
-        }
-        initiator = Participant(self.user, slot, CAL_SERVICE, mark_args=(priority, meeting_id))
-        result = self._negotiate_or_compensate(initiator, groups, change, slot, meeting_id)
+        Without ``refused`` it is full strength: every slot is reserved
+        and the meeting is confirmed. With it, the slot is held by
+        everyone not in ``refused`` and tentative links are queued at the
+        rest (§5: 'for those folks who could not be reserved, a tentative
+        back link to A is queued up at the corresponding slots'). Returns
+        the meeting (None on failure) and the users who refused.
+        """
+        tentative = refused is not None
+        result = self._negotiate(
+            proto, slot, SlotStatus.HELD if tentative else SlotStatus.RESERVED,
+            self._groups(proto, slot, refused or ()), compensate=True,
+        )
         if not result.ok:
-            return None
+            return None, list(result.refused)
         committed = _dedup(result.changed)
-        missing = [u for u in participants if u not in committed]
-        meeting = Meeting(
-            meeting_id=meeting_id,
-            initiator=self.user,
-            title=title,
+        missing = [u for u in proto.participants if u not in committed] if tentative else []
+        meeting = dataclasses.replace(
+            proto,
             slot=slot,
-            participants=participants,
-            must_attend=must_attend,
-            or_groups=or_groups,
-            supervisors=supervisors,
-            priority=priority,
-            status=MeetingStatus.TENTATIVE,
+            status=MeetingStatus.TENTATIVE if tentative else MeetingStatus.CONFIRMED,
             committed=committed,
             missing=missing,
-            window=window,
             created_at=self.node.transport.clock.now(),
         )
         self._distribute(meeting)
         self._create_links(meeting)
+        title, at = meeting.title, f"day {slot['day']} hour {slot['hour']}"
+        if tentative:
+            subject = f"Tentative meeting: {title}"
+            body = f"{title} held at {at}; waiting on {missing}"
+        else:
+            subject = f"Meeting confirmed: {title}"
+            body = f"{title} at {at} (id {meeting.meeting_id})"
         self.mail.broadcast(
-            self.user,
-            committed,
-            f"Tentative meeting: {title}",
-            f"{title} held at day {slot['day']} hour {slot['hour']}; waiting on {missing}",
-            meeting_id=meeting_id,
+            self.user, committed, subject, body, meeting_id=meeting.meeting_id
         )
-        self.scheduled_tentative += 1
-        return meeting
+        return meeting, []
 
-    def _negotiate_or_compensate(self, initiator, groups, change, slot, meeting_id):
-        """Run the negotiation; if it *raises* after partially applying
-        changes (a change or unlock leg died on a dead network), release
-        the slot at everyone before re-raising — the reservation must
-        not outlive the aborted attempt. ``release_slot`` ignores slots
-        referencing other meetings, so compensation is idempotent."""
+    # ------------------------------------------------------------------ negotiation
+
+    def _groups(
+        self,
+        meeting: Meeting,
+        slot: dict[str, int],
+        refused: Sequence[str] = (),
+        quorum: tuple[Sequence[str], int] | None = None,
+    ) -> list[tuple[list[Participant], Constraint]]:
+        """The constraint groups of a negotiation for ``meeting`` at ``slot``.
+
+        By default an AND over the must-attendees and supervisors plus
+        one at-least-k group per or-group. Users in ``refused`` are left
+        out (a tentative hold); an or-group they shrink below k needs
+        only the members left. ``quorum=(members, k)`` negotiates that
+        one group alone (a drop-out's replacement search).
+        """
+
+        def targets(users: Sequence[str]) -> list[Participant]:
+            return [
+                Participant(
+                    u, slot, CAL_SERVICE, mark_args=(meeting.priority, meeting.meeting_id)
+                )
+                for u in users
+                if u != self.user and u not in refused
+            ]
+
+        if quorum is not None:
+            members, k = quorum
+            return [(targets(members), at_least(k))]
+        groups = [(targets(_dedup([*meeting.must_attend, *meeting.supervisors])), AND)]
+        for g in meeting.or_groups:
+            left = [m for m in g.members if m not in refused]
+            groups.append((targets(left), at_least(min(g.k, len(left)))))
+        return groups
+
+    def _negotiate(
+        self,
+        meeting: Meeting,
+        slot: dict[str, int],
+        status: SlotStatus,
+        groups: list[tuple[list[Participant], Constraint]],
+        compensate: bool = False,
+    ) -> NegotiationResult:
+        """Negotiate ``groups`` into ``status`` at ``slot`` for ``meeting``.
+
+        With ``compensate``, a negotiation that *raises* after partially
+        applying changes (a change or unlock leg died on a dead network)
+        releases the slot at everyone before re-raising — the reservation
+        must not outlive the aborted attempt. ``release_slot`` ignores
+        slots referencing other meetings, so compensation is idempotent.
+        """
+        mid = meeting.meeting_id
+        initiator = Participant(
+            self.user, slot, CAL_SERVICE, mark_args=(meeting.priority, mid)
+        )
+        change = {
+            "meeting_id": mid,
+            "status": status.value,
+            "priority": meeting.priority,
+            "title": meeting.title,
+        }
         try:
             return self.node.coordinator.execute_multi(initiator, groups, change)
         except CoordinatorCrashed:
@@ -414,15 +379,15 @@ class MeetingManager:
             # lease-based termination own the cleanup.
             raise
         except ReproError:
+            if not compensate:
+                raise
             try:
-                self.service.release_slot(slot, meeting_id)
+                self.service.release_slot(slot, mid)
             except ReproError:
                 pass
             for user in _dedup([t.user for targets, _c in groups for t in targets]):
                 try:
-                    self.node.engine.execute(
-                        user, CAL_SERVICE, "release_slot", slot, meeting_id
-                    )
+                    self.node.engine.execute(user, CAL_SERVICE, "release_slot", slot, mid)
                 except NetworkError:
                     continue
             raise
@@ -434,9 +399,6 @@ class MeetingManager:
         from repro.kernel.linktypes import LinkRef, LinkType
 
         mid = meeting.meeting_id
-        ctx = {"meeting_id": mid, "cascade_id": mid}
-        others = [u for u in meeting.committed if u != self.user]
-
         # Forward negotiation-and link at the initiator, triggered by the
         # initiator's slot, referencing every participant's slot.
         if not self.node.links.links_by_context("meeting_id", mid):
@@ -447,133 +409,113 @@ class MeetingManager:
                 source_entity=meeting.slot,
                 constraint=AND,
                 priority=meeting.priority,
-                context={**ctx, "role": "forward"},
+                context={"meeting_id": mid, "cascade_id": mid, "role": "forward"},
             )
 
-        for user in others:
+        for user in meeting.committed:
+            if user == self.user:
+                continue
             if user in meeting.supervisors:
                 # Supervisors keep the right to change at will: only a
                 # subscription back link at the supervisor (§5).
-                self._create_remote_link(
-                    user,
-                    {
-                        "ltype": "subscription",
-                        "source_entity": meeting.slot,
-                        "refs": [
-                            {
-                                "user": self.user,
-                                "entity": meeting.slot,
-                                "service": CAL_SERVICE,
-                                "on_change": "on_supervisor_changed",
-                            }
-                        ],
-                        "priority": meeting.priority,
-                        "context": {**ctx, "role": "supervisor-back"},
-                    },
-                )
+                self._back_link(user, meeting, "supervisor-back")
             elif meeting.status is MeetingStatus.CONFIRMED:
                 # Negotiation back link at each committed participant.
-                self._create_remote_link(
-                    user,
-                    {
-                        "ltype": "negotiation",
-                        "constraint": "and",
-                        "source_entity": meeting.slot,
-                        "refs": [
-                            {"user": self.user, "entity": meeting.slot, "service": CAL_SERVICE}
-                        ],
-                        "priority": meeting.priority,
-                        "context": {**ctx, "role": "back"},
-                    },
-                )
+                self._back_link(user, meeting, "back")
             else:
                 # Tentative meeting: subscription back links keep the
                 # initiator informed of subsequent changes (§5).
-                self._create_remote_link(
-                    user,
-                    {
-                        "ltype": "subscription",
-                        "source_entity": meeting.slot,
-                        "refs": [
-                            {
-                                "user": self.user,
-                                "entity": meeting.slot,
-                                "service": CAL_SERVICE,
-                                "on_change": "on_peer_change",
-                            }
-                        ],
-                        "priority": meeting.priority,
-                        "context": {**ctx, "role": "back-subscription"},
-                    },
-                )
+                self._back_link(user, meeting, "back-subscription")
 
         # Missing participants: tentative back link queued at their slot.
         for user in meeting.missing:
-            self._queue_tentative_link(user, meeting)
+            self._back_link(user, meeting, "tentative-back")
 
-    def _queue_tentative_link(self, user: str, meeting: Meeting) -> None:
-        self._create_remote_link(
-            user,
-            {
-                "ltype": "negotiation",
-                "constraint": "and",
-                "subtype": "tentative",
-                "source_entity": meeting.slot,
-                "refs": [
-                    {
-                        "user": self.user,
-                        "entity": meeting.slot,
-                        "service": CAL_SERVICE,
-                        "on_change": "on_participant_available",
-                    }
-                ],
-                "priority": meeting.priority,
-                "context": {
-                    "meeting_id": meeting.meeting_id,
-                    "cascade_id": meeting.meeting_id,
-                    "role": "tentative-back",
-                },
-            },
+    def _back_link(self, user: str, meeting: Meeting, role: str) -> None:
+        """Install the ``role`` back link to this initiator at ``user``."""
+        ltype, subtype, on_change = _BACK_LINKS[role]
+        row: dict[str, Any] = {"ltype": ltype}
+        if ltype == "negotiation":
+            row["constraint"] = "and"
+        if subtype is not None:
+            row["subtype"] = subtype
+        ref = {"user": self.user, "entity": meeting.slot, "service": CAL_SERVICE}
+        if on_change is not None:
+            ref["on_change"] = on_change
+        mid = meeting.meeting_id
+        row.update(
+            source_entity=meeting.slot,
+            refs=[ref],
+            priority=meeting.priority,
+            context={"meeting_id": mid, "cascade_id": mid, "role": role},
         )
-
-    def _create_remote_link(self, user: str, row: dict[str, Any]) -> str | None:
         try:
-            return self.node.engine.execute(user, "_syd_links", "create_link_row", row)
+            self.node.engine.execute(user, "_syd_links", "create_link_row", row)
         except NetworkError:
-            return None
+            pass
 
-    # ------------------------------------------------------------------ distribute
+    def _drop_links(self, meeting_id: str) -> None:
+        """Delete this initiator's links of ``meeting_id``; the cascade
+        removes the back links at every associated user (§4.4)."""
+        for link in self.node.links.links_by_context("cascade_id", meeting_id):
+            if self.node.links.has_link(link.link_id):
+                self.node.links.delete_link(link.link_id, cascade=True)
 
-    def _distribute(self, meeting: Meeting) -> None:
-        """Store the meeting row at every participant that may hold a
-        copy (each keeps *only their own* copy — §6's storage claim).
+    # ------------------------------------------------------------------ copies
+
+    def _push(self, meeting: Meeting, method: str, *args: Any) -> None:
+        """Call ``method`` at every other participant that may hold a copy
+        of ``meeting``, skipping the unreachable.
 
         Participants who already dropped or are still missing get the
         update too, so their stale CONFIRMED copies degrade correctly.
         """
-        self.service.calendar.put_meeting(meeting)
         for user in _dedup([*meeting.committed, *meeting.participants]):
             if user == self.user:
                 continue
             try:
-                self.node.engine.execute(
-                    user, CAL_SERVICE, "store_meeting", meeting.to_row()
-                )
+                self.node.engine.execute(user, CAL_SERVICE, method, *args)
             except NetworkError:
                 continue
+
+    def _distribute(self, meeting: Meeting) -> None:
+        """Store the meeting row here and at every participant (each keeps
+        *only their own* copy — §6's storage claim)."""
+        self.service.calendar.put_meeting(meeting)
+        self._push(meeting, "store_meeting", meeting.to_row())
 
     def _broadcast_status(self, meeting: Meeting, status: MeetingStatus) -> None:
         meeting.status = status
         self.service.calendar.put_meeting(meeting)
-        for user in _dedup([*meeting.committed, *meeting.participants]):
-            if user == self.user:
+        self._push(meeting, "set_meeting_status", meeting.meeting_id, status.value)
+
+    def _release(
+        self, meeting: Meeting, slot: dict[str, int], skip: str | None = None
+    ) -> None:
+        """Free ``slot`` for ``meeting`` at every committed user but
+        ``skip``. Releases fire availability triggers, which is what
+        converts *other* tentative meetings to permanent automatically."""
+        for user in meeting.committed:
+            if user == skip:
                 continue
             try:
-                self.node.engine.execute(
-                    user, CAL_SERVICE, "set_meeting_status", meeting.meeting_id, status.value
-                )
+                if user == self.user:
+                    self.service.release_slot(slot, meeting.meeting_id)
+                else:
+                    self.node.engine.execute(
+                        user, CAL_SERVICE, "release_slot", slot, meeting.meeting_id
+                    )
             except NetworkError:
                 continue
+
+    def _degrade(self, meeting: Meeting, user: str) -> None:
+        """``user`` left ``meeting``: it becomes tentative and a tentative
+        link queued at ``user`` awaits their return (§5)."""
+        meeting.committed = [u for u in meeting.committed if u != user]
+        meeting.missing = _dedup([*meeting.missing, user])
+        meeting.status = MeetingStatus.TENTATIVE
+        self._distribute(meeting)
+        self._back_link(user, meeting, "tentative-back")
 
     # ------------------------------------------------------------------ cancel (§4.4)
 
@@ -593,26 +535,11 @@ class MeetingManager:
         if meeting.status in (MeetingStatus.CANCELLED,):
             return meeting
 
-        # 1–4: delete the local forward link; cascade removes the back
-        # links (and tentative back links) at every associated user.
-        for link in self.node.links.links_by_context("cascade_id", meeting_id):
-            if self.node.links.has_link(link.link_id):
-                self.node.links.delete_link(link.link_id, cascade=True)
-
-        # 5–7: release every reserved slot and update each calendar. The
-        # releases fire availability triggers, which is what converts
-        # *other* tentative meetings to permanent automatically.
+        # 1–4: delete the forward link, cascading away the back links.
+        # 5–7: update each calendar and release every reserved slot.
+        self._drop_links(meeting_id)
         self._broadcast_status(meeting, MeetingStatus.CANCELLED)
-        for user in meeting.committed:
-            try:
-                if user == self.user:
-                    self.service.release_slot(meeting.slot, meeting_id)
-                else:
-                    self.node.engine.execute(
-                        user, CAL_SERVICE, "release_slot", meeting.slot, meeting_id
-                    )
-            except NetworkError:
-                continue
+        self._release(meeting, meeting.slot)
         self.mail.broadcast(
             self.user,
             meeting.committed,
@@ -634,34 +561,9 @@ class MeetingManager:
         meeting = self.service.calendar.meeting(meeting_id)
         if meeting.status is not MeetingStatus.TENTATIVE:
             return meeting.status is MeetingStatus.CONFIRMED
-        groups = [
-            (
-                self._participants_for(
-                    _dedup([*meeting.must_attend, *meeting.supervisors]),
-                    meeting.slot,
-                    meeting.priority,
-                    meeting_id,
-                ),
-                AND,
-            )
-        ]
-        for g in meeting.or_groups:
-            groups.append(
-                (
-                    self._participants_for(g.members, meeting.slot, meeting.priority, meeting_id),
-                    at_least(g.k),
-                )
-            )
-        change = {
-            "meeting_id": meeting_id,
-            "status": SlotStatus.RESERVED.value,
-            "priority": meeting.priority,
-            "title": meeting.title,
-        }
-        initiator = Participant(
-            self.user, meeting.slot, CAL_SERVICE, mark_args=(meeting.priority, meeting_id)
+        result = self._negotiate(
+            meeting, meeting.slot, SlotStatus.RESERVED, self._groups(meeting, meeting.slot)
         )
-        result = self.node.coordinator.execute_multi(initiator, groups, change)
         if not result.ok:
             return False
 
@@ -709,26 +611,12 @@ class MeetingManager:
         meeting = self.service.calendar.meeting(meeting_id)
         if meeting.status is MeetingStatus.BUMPED and meeting_id in self.reschedule_map:
             return  # already handled
-        self.bumps_handled += 1
 
-        bumped_at = payload.get("user")
-        # Tear down links and release the slots that are still ours.
-        for link in self.node.links.links_by_context("cascade_id", meeting_id):
-            if self.node.links.has_link(link.link_id):
-                self.node.links.delete_link(link.link_id, cascade=True)
+        # Tear down links and release the slots that are still ours; the
+        # slot at the bumping user now belongs to the bumping meeting.
+        self._drop_links(meeting_id)
         self._broadcast_status(meeting, MeetingStatus.BUMPED)
-        for user in meeting.committed:
-            if user == bumped_at:
-                continue  # that slot now belongs to the bumping meeting
-            try:
-                if user == self.user:
-                    self.service.release_slot(meeting.slot, meeting_id)
-                else:
-                    self.node.engine.execute(
-                        user, CAL_SERVICE, "release_slot", meeting.slot, meeting_id
-                    )
-            except NetworkError:
-                continue
+        self._release(meeting, meeting.slot, skip=payload.get("user"))
         self.mail.broadcast(
             self.user,
             meeting.committed,
@@ -736,8 +624,6 @@ class MeetingManager:
             f"{meeting.title} lost its slot to a higher-priority meeting",
             meeting_id=meeting_id,
         )
-        if not self.auto_reschedule:
-            return
         try:
             replacement = self.schedule_meeting(
                 meeting.title,
@@ -793,74 +679,33 @@ class MeetingManager:
             return None
 
         if new_slot is None:
-            from repro.calendar.scheduler import candidate_slots
-
-            day_to = self.service.calendar.days - 1
             candidates = candidate_slots(
                 self.node.engine,
                 _dedup([*meeting.must_attend, *meeting.supervisors]),
                 meeting.or_groups,
                 0,
-                day_to,
+                self.service.calendar.days - 1,
             )
-            candidates = [
+            later = [
                 s
                 for s in candidates
                 if (s["day"], s["hour"]) > (meeting.slot["day"], meeting.slot["hour"])
             ]
-            if not candidates:
+            if not later:
                 return None
-            new_slot = candidates[0]
+            new_slot = later[0]
 
         # Reserve the new slot for everyone, atomically.
-        groups = [
-            (
-                self._participants_for(
-                    _dedup([*meeting.must_attend, *meeting.supervisors]),
-                    new_slot,
-                    meeting.priority,
-                    meeting_id,
-                ),
-                AND,
-            )
-        ]
-        for g in meeting.or_groups:
-            groups.append(
-                (
-                    self._participants_for(g.members, new_slot, meeting.priority, meeting_id),
-                    at_least(g.k),
-                )
-            )
-        change = {
-            "meeting_id": meeting_id,
-            "status": SlotStatus.RESERVED.value,
-            "priority": meeting.priority,
-            "title": meeting.title,
-        }
-        initiator = Participant(
-            self.user, new_slot, CAL_SERVICE, mark_args=(meeting.priority, meeting_id)
+        result = self._negotiate(
+            meeting, new_slot, SlotStatus.RESERVED, self._groups(meeting, new_slot)
         )
-        result = self.node.coordinator.execute_multi(initiator, groups, change)
         if not result.ok:
             return None
 
         # Release the old slots and rebuild the link structure at the
         # new source entity.
-        old_slot = meeting.slot
-        for user in meeting.committed:
-            try:
-                if user == self.user:
-                    self.service.release_slot(old_slot, meeting_id)
-                else:
-                    self.node.engine.execute(
-                        user, CAL_SERVICE, "release_slot", old_slot, meeting_id
-                    )
-            except NetworkError:
-                continue
-        for link in self.node.links.links_by_context("cascade_id", meeting_id):
-            if self.node.links.has_link(link.link_id):
-                self.node.links.delete_link(link.link_id, cascade=True)
-
+        self._release(meeting, meeting.slot)
+        self._drop_links(meeting_id)
         meeting.slot = dict(new_slot)
         meeting.committed = _dedup(result.changed)
         meeting.missing = [u for u in meeting.participants if u not in meeting.committed]
@@ -874,7 +719,6 @@ class MeetingManager:
             f"now at day {new_slot['day']} hour {new_slot['hour']}",
             meeting_id=meeting_id,
         )
-        self.moves = getattr(self, "moves", 0) + 1
         return meeting
 
     def request_move(self, meeting_id: str, new_slot: dict[str, int] | None = None) -> bool:
@@ -894,15 +738,14 @@ class MeetingManager:
         """Authorize ``user`` to call meetings with this user's authority
         (§5: "an executive may want to delegate the task of scheduling a
         meeting to a staff")."""
-        self._delegates = getattr(self, "_delegates", set())
         self._delegates.add(user)
 
     def revoke_delegation(self, user: str) -> None:
         """Withdraw a delegation."""
-        getattr(self, "_delegates", set()).discard(user)
+        self._delegates.discard(user)
 
     def is_delegate(self, user: str) -> bool:
-        return user in getattr(self, "_delegates", set())
+        return user in self._delegates
 
     def schedule_for_delegate(
         self, delegate: str, title: str, participants: list[str], options: dict[str, Any]
@@ -973,11 +816,7 @@ class MeetingManager:
         if in_or_group is None:
             # Must-attendee (or supervisor) leaving: grant, but the
             # meeting degrades to tentative and waits for them.
-            meeting.committed = [u for u in meeting.committed if u != user]
-            meeting.missing = _dedup([*meeting.missing, user])
-            meeting.status = MeetingStatus.TENTATIVE
-            self._distribute(meeting)
-            self._queue_tentative_link(user, meeting)
+            self._degrade(meeting, user)
             self.mail.send(
                 self.user,
                 user,
@@ -1001,22 +840,14 @@ class MeetingManager:
         uncommitted = [
             m for m in in_or_group.members if m not in meeting.committed
         ]
-        replacement_targets = self._participants_for(
-            uncommitted, meeting.slot, meeting.priority, meeting_id
-        )
-        change = {
-            "meeting_id": meeting_id,
-            "status": SlotStatus.RESERVED.value
+        status = (
+            SlotStatus.RESERVED
             if meeting.status is MeetingStatus.CONFIRMED
-            else SlotStatus.HELD.value,
-            "priority": meeting.priority,
-            "title": meeting.title,
-        }
-        initiator = Participant(
-            self.user, meeting.slot, CAL_SERVICE, mark_args=(meeting.priority, meeting_id)
+            else SlotStatus.HELD
         )
-        result = self.node.coordinator.execute_multi(
-            initiator, [(replacement_targets, at_least(1))], change
+        result = self._negotiate(
+            meeting, meeting.slot, status,
+            self._groups(meeting, meeting.slot, quorum=(uncommitted, 1)),
         )
         if result.ok:
             joined = [u for u in result.changed if u != self.user]
@@ -1251,11 +1082,7 @@ class MeetingManager:
         supervisor = payload.get("user")
         if supervisor not in meeting.supervisors or supervisor not in meeting.committed:
             return
-        meeting.committed = [u for u in meeting.committed if u != supervisor]
-        meeting.missing = _dedup([*meeting.missing, supervisor])
-        meeting.status = MeetingStatus.TENTATIVE
-        self._distribute(meeting)
-        self._queue_tentative_link(supervisor, meeting)
+        self._degrade(meeting, supervisor)
         self.mail.broadcast(
             self.user,
             meeting.committed,

@@ -17,14 +17,20 @@ the user's calendar store behind exported methods. Three method families:
 Slot release fires the waiting machinery: the highest-priority tentative
 link queued at the freed slot is triggered, "informing A of C's
 availability" (§5).
+
+The queries and the passive copy writes live in :class:`CalendarCopy`,
+which a proxy's :class:`~repro.calendar.proxysupport.CalendarReadFacade`
+shares: both serve the same calendar copy, one on the device and one on
+a replica.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.calendar.model import (
+    Meeting,
     MeetingStatus,
     SlotStatus,
     entity_to_id,
@@ -44,35 +50,19 @@ from repro.util.errors import (
 )
 from repro.util.events import EventBus
 
+if TYPE_CHECKING:
+    from repro.calendar.meetings import MeetingManager
 
-class CalendarService(SyDDeviceObject):
-    """One user's calendar, published on their device."""
 
-    def __init__(
-        self,
-        user: str,
-        calendar: CalendarStore,
-        locks: LockManager,
-        links: SyDLinks,
-        engine,
-        bus: EventBus,
-    ):
+class CalendarCopy(SyDDeviceObject):
+    """The verbs every holder of a user's calendar copy serves: queries,
+    and the passive copy writes initiators push to participants (each
+    participant keeps *only their own* copy — §6)."""
+
+    def __init__(self, user: str, calendar: CalendarStore):
         super().__init__(f"{user}_calendar_SyD", calendar.store)
         self.user = user
         self.calendar = calendar
-        self.locks = locks
-        self.links = links
-        self.engine = engine
-        self.bus = bus
-        # Bump notifications deferred until the negotiation's unlock phase
-        # (notifying mid-negotiation would nest negotiations under held locks).
-        self._pending_bumps: dict[str, list[tuple[str, str, dict]]] = {}
-        #: change applications per txn_id — the decision_agreement
-        #: checker's ground truth (never cleared: a restart must not hide
-        #: a pre-crash application from the checker).
-        self.applied_changes: Counter = Counter()
-        #: marks unilaterally released by the termination protocol
-        self.terminated = 0
 
     # -- queries -----------------------------------------------------------------
 
@@ -98,6 +88,61 @@ class CalendarService(SyDDeviceObject):
         """All meeting rows this user holds."""
         st = MeetingStatus(status) if status else None
         return [m.to_row() for m in self.calendar.meetings(st)]
+
+    # -- copy writes pushed by initiators ------------------------------------------
+
+    @exported
+    def store_meeting(self, row: dict[str, Any]) -> None:
+        """Record (or update) this user's copy of a meeting."""
+        self.calendar.put_meeting(Meeting.from_row(row))
+
+    @exported
+    def set_meeting_status(self, meeting_id: str, status: str) -> bool:
+        """Update the local meeting copy's status (False when absent)."""
+        if not self.calendar.has_meeting(meeting_id):
+            return False
+        self.calendar.set_meeting_status(meeting_id, MeetingStatus(status))
+        return True
+
+    @exported
+    def release_slot(self, entity: dict[str, int], meeting_id: str) -> bool:
+        """Free the slot held by ``meeting_id`` (False when it holds
+        another meeting or none)."""
+        sid = entity_to_id(entity)
+        if self.calendar.slot(sid)["meeting_id"] != meeting_id:
+            return False
+        self.calendar.release_slot(sid)
+        return True
+
+
+class CalendarService(CalendarCopy):
+    """One user's calendar, published on their device."""
+
+    def __init__(
+        self,
+        user: str,
+        calendar: CalendarStore,
+        locks: LockManager,
+        links: SyDLinks,
+        engine,
+        bus: EventBus,
+    ):
+        super().__init__(user, calendar)
+        self.locks = locks
+        self.links = links
+        self.engine = engine
+        self.bus = bus
+        #: the MeetingManager driving this calendar (it binds itself)
+        self.manager: MeetingManager | None = None
+        # Bump notifications deferred until the negotiation's unlock phase
+        # (notifying mid-negotiation would nest negotiations under held locks).
+        self._pending_bumps: dict[str, list[tuple[str, str, dict]]] = {}
+        #: change applications per txn_id — the decision_agreement
+        #: checker's ground truth (never cleared: a restart must not hide
+        #: a pre-crash application from the checker).
+        self.applied_changes: Counter = Counter()
+        #: marks unilaterally released by the termination protocol
+        self.terminated = 0
 
     # -- self-service (the user editing their own calendar) --------------------------
 
@@ -304,29 +349,11 @@ class CalendarService(SyDDeviceObject):
     # -- lifecycle operations invoked by peers -------------------------------------------
 
     @exported
-    def store_meeting(self, row: dict[str, Any]) -> None:
-        """Record (or update) this user's copy of a meeting."""
-        from repro.calendar.model import Meeting
-
-        self.calendar.put_meeting(Meeting.from_row(row))
-
-    @exported
-    def set_meeting_status(self, meeting_id: str, status: str) -> bool:
-        """Update the local meeting copy's status (False when absent)."""
-        if not self.calendar.has_meeting(meeting_id):
-            return False
-        self.calendar.set_meeting_status(meeting_id, MeetingStatus(status))
-        return True
-
-    @exported
     def release_slot(self, entity: dict[str, int], meeting_id: str) -> bool:
         """Free the slot held by ``meeting_id`` and fire availability
         triggers (waiting tentative links, subscription links)."""
-        sid = entity_to_id(entity)
-        row = self.calendar.slot(sid)
-        if row["meeting_id"] != meeting_id:
+        if not super().release_slot(entity, meeting_id):
             return False
-        self.calendar.release_slot(sid)
         self._fire_availability(entity)
         return True
 
@@ -415,13 +442,10 @@ class CalendarService(SyDDeviceObject):
         self, meeting_id: str, user: str, new_slot: dict[str, int] | None = None
     ) -> bool:
         """A participant asks this (initiator) node to move the meeting."""
-        manager = getattr(self, "manager", None)
-        if manager is None:
-            raise CalendarError(f"{self.user} has no meeting manager bound")
         meeting = self.calendar.meeting(meeting_id)
         if user not in meeting.participants:
             return False
-        return manager.move_meeting(meeting_id, new_slot) is not None
+        return self._manager().move_meeting(meeting_id, new_slot) is not None
 
     @exported
     def schedule_as_delegate(
@@ -429,10 +453,9 @@ class CalendarService(SyDDeviceObject):
     ) -> dict[str, Any]:
         """Schedule with this user's authority on behalf of ``delegate``
         (§5 delegation). Raises when no delegation was granted."""
-        manager = getattr(self, "manager", None)
-        if manager is None:
-            raise CalendarError(f"{self.user} has no meeting manager bound")
-        return manager.schedule_for_delegate(delegate, title, participants, dict(options))
+        return self._manager().schedule_for_delegate(
+            delegate, title, participants, dict(options)
+        )
 
     @exported
     def request_drop_out(self, meeting_id: str, user: str) -> dict[str, Any]:
@@ -442,12 +465,14 @@ class CalendarService(SyDDeviceObject):
         an or-group member may only leave "if an additional commitment is
         found" or the quorum still holds.
         """
-        manager = getattr(self, "manager", None)
-        if manager is None:
-            raise CalendarError(f"{self.user} has no meeting manager bound")
-        return manager.handle_drop_request(meeting_id, user)
+        return self._manager().handle_drop_request(meeting_id, user)
 
     # -- internal -------------------------------------------------------------------
+
+    def _manager(self) -> MeetingManager:
+        if self.manager is None:
+            raise CalendarError(f"{self.user} has no meeting manager bound")
+        return self.manager
 
     def _fire_availability(self, entity: dict[str, int]) -> None:
         """A slot of ours became free: trigger the waiting machinery.

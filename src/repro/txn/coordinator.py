@@ -64,6 +64,7 @@ from enum import Enum
 from typing import Any, Callable
 
 from repro.kernel.engine import CallOutcome, CallSpec, SyDEngine
+from repro.txn.log import IntentLog
 from repro.util.errors import (
     CoordinatorCrashed,
     NetworkError,
@@ -187,8 +188,6 @@ class NegotiationCoordinator:
         metrics=None,
         metrics_node: str = "",
     ):
-        from repro.txn.log import IntentLog
-
         self.engine = engine
         self.tracer = tracer or Tracer()
         #: durable (or, without a store, volatile) BEGIN/DECIDE/END log

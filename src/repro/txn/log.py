@@ -1,92 +1,17 @@
-"""Transaction logs.
+"""The durable negotiation intent log.
 
-:class:`TransactionLog` is a light audit trail of negotiation outcomes,
-used by the benchmark harness to report commit/abort rates and by tests
-asserting atomicity bookkeeping.
-
-:class:`IntentLog` is the crash-recovery half: a write-ahead record of
-negotiation *intents* (``BEGIN`` / ``DECIDE`` / ``END``) persisted
-through the node's own data store — and therefore through the WAL
-journal chaos episodes attach — so a restarted coordinator can resolve
-every transaction it had in flight. The protocol is presumed-abort: a
-``BEGIN`` with no durable ``DECIDE(commit)`` means the transaction
-aborts, so the abort path needs no forced log write.
+:class:`IntentLog` is the crash-recovery half of the coordinator: a
+write-ahead record of negotiation *intents* (``BEGIN`` / ``DECIDE`` /
+``END``) persisted through the node's own data store — and therefore
+through the WAL journal chaos episodes attach — so a restarted
+coordinator can resolve every transaction it had in flight. The protocol
+is presumed-abort: a ``BEGIN`` with no durable ``DECIDE(commit)`` means
+the transaction aborts, so the abort path needs no forced log write.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
-
-from repro.txn.coordinator import NegotiationResult
-
-
-@dataclass(frozen=True)
-class TxnRecord:
-    """Summary of one finished negotiation."""
-
-    txn_id: str
-    t: float
-    ok: bool
-    constraint: str
-    locked: int
-    refused: int
-    changed: int
-    failure_reason: str | None
-
-
-class TransactionLog:
-    """Append-only record of negotiation outcomes."""
-
-    def __init__(self, clock=None):
-        self._clock = clock
-        self._records: list[TxnRecord] = []
-
-    def record(self, result: NegotiationResult) -> TxnRecord:
-        """Append a summary of ``result``."""
-        rec = TxnRecord(
-            txn_id=result.txn_id,
-            t=self._clock.now() if self._clock else 0.0,
-            ok=result.ok,
-            constraint=result.constraint,
-            locked=len(result.locked),
-            refused=len(result.refused),
-            changed=len(result.changed),
-            failure_reason=result.failure_reason,
-        )
-        self._records.append(rec)
-        return rec
-
-    def records(self) -> list[TxnRecord]:
-        return list(self._records)
-
-    @property
-    def commits(self) -> int:
-        return sum(1 for r in self._records if r.ok)
-
-    @property
-    def aborts(self) -> int:
-        return sum(1 for r in self._records if not r.ok)
-
-    def commit_rate(self) -> float:
-        """Fraction of negotiations that committed (0 when none ran)."""
-        total = len(self._records)
-        return self.commits / total if total else 0.0
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
-@dataclass(frozen=True)
-class IntentRecord:
-    """One durable protocol step of one negotiation."""
-
-    seq: int
-    txn_id: str
-    kind: str                      # "begin" | "decide" | "end"
-    decision: str | None = None    # decide: "commit"/"abort"; end: outcome
-    payload: Any = None            # begin: participants; decide: locked refs
-    at: float = 0.0
 
 
 class IntentLog:

@@ -223,17 +223,7 @@ class TestBump:
         assert new.status is MeetingStatus.CONFIRMED
         assert new.slot != low.slot
         assert phil.reschedules == 1
-
-    def test_bump_without_auto_reschedule(self, app):
-        phil = app.manager("phil")
-        phil.auto_reschedule = False
-        low = phil.schedule_meeting("Low", ["andy"], priority=1, day_from=0, day_to=0)
-        app.manager("suzy").schedule_meeting(
-            "High", ["andy"], priority=9, preferred_slot=low.slot
-        )
-        assert app.meeting_view("phil", low.meeting_id).status is MeetingStatus.BUMPED
-        assert phil.reschedule_map == {}
-        # Phil's own copy of the slot was released.
+        # Phil's own copy of the bumped slot was released.
         assert app.calendar("phil").slot_of(low.slot)["status"] == "free"
 
 

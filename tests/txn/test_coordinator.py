@@ -16,7 +16,6 @@ from repro.txn.coordinator import (
     at_least,
     exactly,
 )
-from repro.txn.log import TransactionLog
 
 
 def part(user, entity="slot1"):
@@ -192,14 +191,3 @@ class TestCountersAndLog:
         a.coordinator.execute(part("a", "slot2"), [part("b")], AND)
         assert a.coordinator.executed == 2
         assert a.coordinator.committed == 1
-
-    def test_transaction_log(self, trio, world):
-        log = TransactionLog(world.clock)
-        r = trio["a"].coordinator.execute(part("a"), [part("b")], AND)
-        rec = log.record(r)
-        assert rec.ok and rec.changed == 2
-        assert log.commits == 1 and log.aborts == 0
-        assert log.commit_rate() == 1.0
-
-    def test_log_empty_rate(self):
-        assert TransactionLog().commit_rate() == 0.0

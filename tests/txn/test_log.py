@@ -1,42 +1,8 @@
-"""Tests for the transaction logs: audit trail and durable intents."""
+"""Tests for the durable negotiation intent log."""
 
 from repro.datastore.store import RelationalStore
-from repro.txn.coordinator import NegotiationResult
-from repro.txn.log import IntentLog, TransactionLog
+from repro.txn.log import IntentLog
 from repro.util.clock import VirtualClock
-
-
-def result(txn_id, ok=True, **kw):
-    return NegotiationResult(ok=ok, constraint="and", txn_id=txn_id, **kw)
-
-
-class TestTransactionLog:
-    def test_records_preserve_append_order(self):
-        clock = VirtualClock()
-        log = TransactionLog(clock)
-        log.record(result("t1"))
-        clock.advance(2.0)
-        log.record(result("t2", ok=False, failure_reason="refused"))
-        clock.advance(1.0)
-        log.record(result("t3"))
-        recs = log.records()
-        assert [r.txn_id for r in recs] == ["t1", "t2", "t3"]
-        assert [r.t for r in recs] == [0.0, 2.0, 3.0]
-        assert recs[1].failure_reason == "refused"
-        assert len(log) == 3
-
-    def test_commit_abort_counts_and_rate(self):
-        log = TransactionLog()
-        log.record(result("t1"))
-        log.record(result("t2", ok=False))
-        log.record(result("t3", ok=False))
-        assert log.commits == 1 and log.aborts == 2
-        assert abs(log.commit_rate() - 1 / 3) < 1e-12
-
-    def test_commit_rate_zero_transactions(self):
-        # The zero-txn edge: no division error, rate is simply 0.
-        assert TransactionLog().commit_rate() == 0.0
-        assert len(TransactionLog()) == 0
 
 
 class TestIntentLogVolatile:
