@@ -218,39 +218,9 @@ def obs_main(args: argparse.Namespace) -> int:
     if args.attribute:
         import json
 
-        from repro.obs import CATEGORIES, attribute, linked_roots
+        from repro.obs import CATEGORIES, attribution_report
 
-        roots = sorted(
-            (s for s in spans if s.parent_id is None and s.end is not None),
-            key=lambda s: (s.trace_id, s.span_id),
-        )
-        reports = []
-        totals = {cat: 0.0 for cat in CATEGORIES}
-        elapsed_total = 0.0
-        worst_coverage = 1.0
-        for root in roots:
-            attr = attribute(spans, root)
-            entry = attr.to_dict()
-            links = linked_roots(spans, root.trace_id)
-            if links:
-                entry["linked"] = [
-                    attribute(spans, link).to_dict() for link in links
-                ]
-            reports.append(entry)
-            for cat in CATEGORIES:
-                totals[cat] += attr.categories.get(cat, 0.0)
-            elapsed_total += attr.elapsed
-            if attr.elapsed > 0 and attr.coverage < worst_coverage:
-                worst_coverage = attr.coverage
-        doc = {
-            "label": label,
-            "roots": reports,
-            "totals": {cat: round(totals[cat], 9) for cat in CATEGORIES},
-            "elapsed_total": round(elapsed_total, 9),
-            "coverage": round(
-                sum(totals.values()) / elapsed_total if elapsed_total else 1.0, 6
-            ),
-        }
+        doc, totals, elapsed_total, worst_coverage = attribution_report(spans, label)
         attr_path = out / "attribution.json"
         attr_path.write_text(
             json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -260,7 +230,7 @@ def obs_main(args: argparse.Namespace) -> int:
             for cat in CATEGORIES
         }
         print(
-            f"attribution: {attr_path} ({len(reports)} roots, "
+            f"attribution: {attr_path} ({len(doc['roots'])} roots, "
             f"coverage {doc['coverage'] * 100:.2f}%, "
             f"worst root {worst_coverage * 100:.2f}%)"
         )

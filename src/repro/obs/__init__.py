@@ -23,6 +23,7 @@ from repro.obs.critical import (
     Attribution,
     attribute,
     attribute_trace,
+    attribution_report,
     critical_path,
     find_root,
     linked_roots,
@@ -52,6 +53,7 @@ __all__ = [
     "CATEGORIES",
     "Attribution",
     "attribute",
+    "attribution_report",
     "attribute_trace",
     "critical_path",
     "find_root",

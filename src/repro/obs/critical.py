@@ -60,7 +60,7 @@ the replay ran after the original trace ended.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from repro.util.trace import Span
 
@@ -269,6 +269,58 @@ def attribute(spans: Sequence[Span], root: Span) -> Attribution:
 def attribute_trace(spans: Sequence[Span], trace_id: str) -> Attribution:
     """:func:`attribute` rooted at the trace's root span."""
     return attribute(spans, find_root(spans, trace_id))
+
+
+class AttributionReport(NamedTuple):
+    """What ``obs --attribute`` exports and prints."""
+
+    #: the exported JSON document (rounded)
+    doc: dict[str, Any]
+    #: per-category seconds summed over the roots
+    totals: dict[str, float]
+    #: the roots' summed elapsed seconds
+    elapsed: float
+    #: the lowest coverage of a root that took time
+    worst_coverage: float
+
+
+def attribution_report(spans: Sequence[Span], label: str) -> AttributionReport:
+    """Attribute every closed root, ordered by ``(trace_id, span_id)``.
+
+    Each root's entry lists the roots its trace links to; the document's
+    ``totals`` sum the categories over the roots and its ``coverage`` is
+    their share of the summed elapsed time.
+    """
+    roots = sorted(
+        (s for s in spans if s.parent_id is None and s.end is not None),
+        key=lambda s: (s.trace_id, s.span_id),
+    )
+    reports = []
+    totals = {cat: 0.0 for cat in CATEGORIES}
+    elapsed_total = 0.0
+    worst_coverage = 1.0
+    for root in roots:
+        attr = attribute(spans, root)
+        entry = attr.to_dict()
+        links = linked_roots(spans, root.trace_id)
+        if links:
+            entry["linked"] = [attribute(spans, link).to_dict() for link in links]
+        reports.append(entry)
+        for cat in CATEGORIES:
+            totals[cat] += attr.categories.get(cat, 0.0)
+        elapsed_total += attr.elapsed
+        if attr.elapsed > 0 and attr.coverage < worst_coverage:
+            worst_coverage = attr.coverage
+    doc = {
+        "label": label,
+        "roots": reports,
+        "totals": {cat: round(totals[cat], 9) for cat in CATEGORIES},
+        "elapsed_total": round(elapsed_total, 9),
+        "coverage": round(
+            sum(totals.values()) / elapsed_total if elapsed_total else 1.0, 6
+        ),
+    }
+    return AttributionReport(doc, totals, elapsed_total, worst_coverage)
 
 
 @dataclass(frozen=True)
