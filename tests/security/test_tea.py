@@ -96,3 +96,34 @@ def test_padding_all_lengths():
     for n in range(0, 25):
         data = bytes(range(n))
         assert tea.decrypt(tea.encrypt(data, "p"), "p") == data
+
+
+class TestAuthentication:
+    def test_blob_carries_a_tag(self):
+        blob = tea.encrypt(b"hello", "p", iv=bytes(8))
+        assert len(blob) == tea.BLOCK_SIZE + 8 + tea.TAG_SIZE
+
+    def test_mac_key_is_not_the_cipher_key(self):
+        cipher = b"".join(w.to_bytes(4, "big") for w in tea.derive_key("p"))
+        assert tea.derive_mac_key("p") != cipher
+        assert tea.derive_mac_key("p")[:16] != cipher
+
+    @pytest.mark.parametrize("where", [0, 8, -17, -1])
+    def test_tampered_byte_fails(self, where):
+        blob = bytearray(tea.encrypt(b"hello world, here is a message", "p"))
+        blob[where] ^= 0x01
+        with pytest.raises(CipherError, match="tag"):
+            tea.decrypt(bytes(blob), "p")
+
+    def test_100k_wrong_passphrases_all_fail(self):
+        # Unauthenticated CBC accepts about 1 in 256 wrong keys through
+        # the padding check; the tag refuses every one before decrypting.
+        blob = tea.encrypt(b"hello world, here is a message", "right")
+        accepted = 0
+        for i in range(100_000):
+            try:
+                tea.decrypt(blob, f"wrong{i}")
+            except CipherError:
+                continue
+            accepted += 1
+        assert accepted == 0
