@@ -939,13 +939,13 @@ def exp_e14_obs(calls: int = 50, seed: int = 1, sample: int = 4) -> dict[str, An
     for mode, tracing, k in modes:
         world, users = _resource_world(2, seed, tracing=tracing, trace_sample=k)
         node = world.node(users[0])
-        spans_before = len(world.tracer.spans()) if tracing else 0
+        spans_before = world.tracer.span_count() if tracing else 0
         wall0 = time.perf_counter()
         with measure(world) as m:
             for _ in range(calls):
                 node.engine.execute(users[1], "res", "read", "slot")
         wall = time.perf_counter() - wall0
-        spans = (len(world.tracer.spans()) - spans_before) if tracing else 0
+        spans = (world.tracer.span_count() - spans_before) if tracing else 0
         bpm = m.bytes / m.messages
         if base_bpm is None:
             base_bpm = bpm
@@ -1487,10 +1487,10 @@ def exp_e18_attribution(
         targets = [f"u{rng.randrange(population):07d}" for _ in range(lookups)]
         marks: list[tuple[int, int, float]] = []
         for uid in targets:
-            i0 = len(world.tracer.spans())
+            i0 = world.tracer.span_count()
             t0 = world.clock.now()
             probe.lookup_user(uid)
-            marks.append((i0, len(world.tracer.spans()), world.clock.now() - t0))
+            marks.append((i0, world.tracer.span_count(), world.clock.now() - t0))
         spans = world.tracer.spans()
         items = []
         for i0, i1, elapsed in marks:

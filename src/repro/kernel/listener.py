@@ -34,7 +34,7 @@ from repro.util.errors import (
     ReproError,
     StaleMessageError,
 )
-from repro.util.trace import NULL_SPAN, Tracer
+from repro.util.trace import Tracer
 
 #: Hook signature: (object_name, method, args, kwargs, result) -> None
 PostInvokeHook = Callable[[str, str, list, dict, Any], None]
@@ -160,26 +160,45 @@ class SyDListener:
         :class:`StaleMessageError`. First sightings execute and their
         outcome is recorded.
 
-        With an enabled tracer wired, dispatch re-enters the context
-        stamped on the message, so everything below — including the dedup
-        verdict — lands as a child span of the caller's RPC span. With no
-        tracer or a disabled one, dispatch runs directly: a disabled tracer
-        would open only ``NULL_SPAN`` frames, and senders stamp no context.
+        With an enabled tracer wired, dispatch runs in a
+        ``handle:<object>.<method>`` span under the context stamped on the
+        message, so everything below — including the dedup verdict —
+        lands as a child of the caller's RPC span. The span is a part of
+        the caller's leg record when the message came straight from its
+        ``rpc:*`` part (:class:`~repro.util.trace.LegRecord`). With
+        no tracer or a disabled one, dispatch runs directly: a disabled
+        tracer would open only ``NULL_SPAN`` frames, and senders stamp no
+        context.
         """
         tracer = self.tracer
         if tracer is None or not tracer.enabled:
-            return self._dispatch(msg, NULL_SPAN)
+            return self._dispatch(msg, None)
         payload = msg.payload
-        name = f"handle:{payload.get('object', '?')}.{payload.get('method', '?')}"
-        with tracer.activate(msg.trace):
-            with tracer.span(name, self.node_id, src=msg.src) as span:
-                return self._dispatch(msg, span)
+        attrs: dict[str, Any] = {"src": msg.src}
+        traced = tracer.open_handle(
+            self.node_id,
+            attrs,
+            f"{payload.get('object', '?')}.{payload.get('method', '?')}",
+            msg.trace,
+        )
+        status = None
+        try:
+            return self._dispatch(msg, attrs)
+        except BaseException as exc:
+            status = exc.__class__.__name__
+            raise
+        finally:
+            if traced:
+                tracer.close_handle(status)
 
-    def _dispatch(self, msg: Message, span) -> dict[str, Any]:
+    def _dispatch(self, msg: Message, attrs: dict[str, Any] | None) -> dict[str, Any]:
+        """Admit, execute and record; ``attrs`` is the handler span's
+        attribute dict (None untraced)."""
         key = msg.dedup
         if key is not None and self.dedup is not None:
             verdict, cached = self.dedup.admit(*key)
-            span.set(verdict=verdict)
+            if attrs is not None:
+                attrs["verdict"] = verdict
             if verdict == dedup_mod.REPLAY:
                 self.replays += 1
                 self._metric("kernel.replays")
@@ -231,9 +250,9 @@ class SyDListener:
             self.effects[key] += 1
             tracer = self.tracer
             if tracer is not None and tracer.enabled:
-                ctx = tracer.current_context()
-                if ctx is not None:
-                    self.effect_traces[key] = ctx[0]
+                trace_id = tracer.current_trace_id()
+                if trace_id is not None:
+                    self.effect_traces[key] = trace_id
         metrics = self.metrics
         if metrics is None:
             result = fn(*args, **kwargs)

@@ -96,31 +96,44 @@ def retry_call(
     When a ``tracer`` is given, the whole loop runs inside one
     ``net.call`` span and each try inside a ``net.attempt`` child — so
     every re-send of a leg lands in the *same* trace as the first
-    attempt, numbered by its ``attempt`` attribute.
+    attempt, numbered by its ``attempt`` attribute. Both are leg record
+    parts (:class:`~repro.util.trace.LegRecord`): the first attempt
+    opens with the call in one record, and a retry starts a new one.
     """
     attempt = 1
     backoff_total = 0.0
     started = clock.now() if (clock is not None and deadline is not None) else None
-    with maybe_span(tracer, "net.call", node) as call_span:
+    call_attrs: dict = {}
+    traced = (
+        tracer is not None
+        and tracer.enabled
+        and tracer.open_call(node, call_attrs, {"attempt": 1})
+    )
+    tried = traced
+    status = None
+    try:
         while True:
             try:
-                with maybe_span(tracer, "net.attempt", node, attempt=attempt):
-                    value = fn()
+                value = fn()
             except (MessageDropped, UnreachableError) as exc:
+                if tried:
+                    tracer.close_attempt(exc.__class__.__name__)
                 if (
                     policy is None
                     or attempt >= policy.max_attempts
                     or not policy.retryable(exc)
                 ):
-                    call_span.set(attempts=attempt, exhausted=policy is not None)
+                    call_attrs["attempts"] = attempt
+                    call_attrs["exhausted"] = policy is not None
                     if backoff_total:
-                        call_span.set(backoff_total=round(backoff_total, 9))
+                        call_attrs["backoff_total"] = round(backoff_total, 9)
                     raise
                 backoff = policy.backoff(attempt)
                 if started is not None and clock.now() + backoff >= deadline:
-                    call_span.set(attempts=attempt, budget_exhausted=True)
+                    call_attrs["attempts"] = attempt
+                    call_attrs["budget_exhausted"] = True
                     if backoff_total:
-                        call_span.set(backoff_total=round(backoff_total, 9))
+                        call_attrs["backoff_total"] = round(backoff_total, 9)
                     raise DeadlineExceeded(
                         clock.now() - started,
                         deadline - started,
@@ -131,13 +144,30 @@ def retry_call(
                 if stats is not None:
                     stats.record_retry()
                 attempt += 1
+                tried = (
+                    tracer is not None
+                    and tracer.enabled
+                    and tracer.open_attempt(node, {"attempt": attempt})
+                )
+            except BaseException as exc:
+                if tried:
+                    tracer.close_attempt(exc.__class__.__name__)
+                raise
             else:
+                if tried:
+                    tracer.close_attempt()
                 if attempt > 1 and stats is not None:
                     stats.record_retry_success()
-                call_span.set(attempts=attempt)
+                call_attrs["attempts"] = attempt
                 if backoff_total:
-                    call_span.set(backoff_total=round(backoff_total, 9))
+                    call_attrs["backoff_total"] = round(backoff_total, 9)
                 return value
+    except BaseException as exc:
+        status = exc.__class__.__name__
+        raise
+    finally:
+        if traced:
+            tracer.close_call(status)
 
 
 def rpc_many_with_retry(

@@ -23,7 +23,9 @@ stall. ``rpc`` is one leg plus a clock advance, ``rpc_many`` is N legs
 plus one max advance, ``rpc_hedged`` is a two-leg race and ``send`` is a
 leg without a reply. With an inert fault plan the per-message fault
 probes are skipped (see :attr:`FaultPlan.active`); with tracing off no
-span or trace-context work is done.
+span or trace-context work is done. A traced ``rpc:*`` span is a part of
+a leg record (:class:`repro.util.trace.LegRecord`), whose attribute
+dict the traffic methods fill in place.
 
 Failure semantics (``rpc``; per leg for ``rpc_many``):
 
@@ -492,10 +494,14 @@ class Transport:
         """
         if dedup is None:
             dedup = self.next_dedup(src, dst)
-        with maybe_span(self.tracer, f"rpc:{kind}", src, dst=dst) as span:
+        tracer = self.tracer
+        attrs: dict[str, Any] = {"dst": dst}
+        traced = tracer is not None and tracer.enabled and tracer.open_rpc(src, attrs, kind)
+        status = None
+        try:
             start = self.clock.now()
             if deadline is not None and start >= deadline:
-                span.set(outcome="deadline")
+                attrs["outcome"] = "deadline"
                 raise DeadlineExceeded(0.0, 0.0, detail=f"rpc:{kind} to {dst} not sent")
             msg = Message(
                 ("msg", self._ids.next_num("msg")),
@@ -504,21 +510,28 @@ class Transport:
                 kind,
                 payload,
                 dedup=dedup,
-                trace=self._trace_ctx(),
+                trace=tracer.current_context() if traced else None,
                 deadline=deadline,
             )
             outcome, value, error, _, _, _, stall = self._leg(msg, True, deadline, start)
             if outcome == "undeliverable":
                 raise error  # type: ignore[misc]
-            span.set(bytes=msg.size_bytes)
+            attrs["bytes"] = msg.size_bytes
             if stall:
-                span.set(stall=round(stall, 9))
+                attrs["stall"] = round(stall, 9)
             if outcome == "ok":
-                span.set(outcome="ok", delay=round(self.clock.now() - start, 9))
+                attrs["outcome"] = "ok"
+                attrs["delay"] = round(self.clock.now() - start, 9)
                 return value  # type: ignore[return-value]
             if outcome != "reply_lost":
-                span.set(outcome=outcome)
+                attrs["outcome"] = outcome
             raise error  # type: ignore[misc]
+        except BaseException as exc:
+            status = exc.__class__.__name__
+            raise
+        finally:
+            if traced:
+                tracer.close_rpc(status)
 
     def rpc_hedged(
         self,
@@ -549,9 +562,11 @@ class Transport:
         hedge always fires for it.
         """
         health = self.health
-        with maybe_span(
-            self.tracer, f"rpc:{kind}", src, dst=primary, hedge=backup
-        ) as span:
+        tracer = self.tracer
+        attrs: dict[str, Any] = {"dst": primary, "hedge": backup}
+        traced = tracer is not None and tracer.enabled and tracer.open_rpc(src, attrs, kind)
+        status = None
+        try:
             start = self.clock.now()
             msg = Message(
                 ("msg", self._ids.next_num("msg")),
@@ -560,13 +575,13 @@ class Transport:
                 kind,
                 payload,
                 dedup=self.next_dedup(src, primary),
-                trace=self._trace_ctx(),
+                trace=tracer.current_context() if traced else None,
             )
             p_outcome, p_result, p_error, _, p_reply, p_wait, p_stall = self._leg(msg, False)
             if p_outcome == "undeliverable":
-                span.set(outcome="undeliverable")
+                attrs["outcome"] = "undeliverable"
                 raise p_error  # type: ignore[misc]
-            span.set(bytes=msg.size_bytes)
+            attrs["bytes"] = msg.size_bytes
             # None = the reply was lost: the primary never completes.
             p_total = None if p_reply is None else p_wait
             if p_total is not None and p_total <= hedge_delay:
@@ -574,13 +589,14 @@ class Transport:
                 # timer: no second leg is ever sent.
                 self.clock.advance(p_total)
                 if p_outcome != "ok":
-                    span.set(outcome="remote_error")
+                    attrs["outcome"] = "remote_error"
                     raise p_error  # type: ignore[misc]
                 if health is not None:
                     health.record_success(primary, p_total)
                 if p_stall:
-                    span.set(stall=round(p_stall, 9))
-                span.set(outcome="ok", delay=round(p_total, 9))
+                    attrs["stall"] = round(p_stall, 9)
+                attrs["outcome"] = "ok"
+                attrs["delay"] = round(p_total, 9)
                 return p_result  # type: ignore[return-value]
 
             # Hedge fires: the same request at the backup owner, its
@@ -593,7 +609,7 @@ class Transport:
                 kind,
                 payload,
                 dedup=self.next_dedup(src, backup),
-                trace=self._trace_ctx(),
+                trace=tracer.current_context() if traced else None,
             )
             b_outcome, b_result, _, b_request, b_reply, _, b_stall = self._leg(b_msg, False)
             if b_outcome == "undeliverable":
@@ -624,20 +640,31 @@ class Transport:
                 # reply was discarded (its stall cost nobody anything).
                 win_stall = b_stall if which == 1 else p_stall
                 if win_stall:
-                    span.set(stall=round(min(win_stall, total), 9))
+                    attrs["stall"] = round(min(win_stall, total), 9)
                 if which == 1:
                     self.stats.record_hedge_win()
-                    span.set(winner="backup", outcome="hedge_win", delay=round(total, 9))
+                    attrs["winner"] = "backup"
+                    attrs["outcome"] = "hedge_win"
+                    attrs["delay"] = round(total, 9)
                     return b_result  # type: ignore[return-value]
-                span.set(winner="primary", outcome="ok", delay=round(total, 9))
+                attrs["winner"] = "primary"
+                attrs["outcome"] = "ok"
+                attrs["delay"] = round(total, 9)
                 return p_result  # type: ignore[return-value]
 
             # Neither leg produced a result: the caller learns of the
             # failure at the later of the two known completion times.
             known = [t for t in (p_total, b_total) if t is not None]
             self.clock.advance(max(known) if known else hedge_delay)
-            span.set(outcome="failed", delay=round(self.clock.now() - start, 9))
+            attrs["outcome"] = "failed"
+            attrs["delay"] = round(self.clock.now() - start, 9)
             raise p_error  # type: ignore[misc]
+        except BaseException as exc:
+            status = exc.__class__.__name__
+            raise
+        finally:
+            if traced:
+                tracer.close_rpc(status)
 
     def rpc_many(
         self,
@@ -685,13 +712,19 @@ class Transport:
         #: the batch's clock advance is that leg's round trip, so its
         #: stall is the batch tail's stall (stamped on the batch span).
         batch_stall = 0.0
-        with maybe_span(self.tracer, "net.batch", src, legs=len(legs)) as batch:
+        tracer = self.tracer
+        with maybe_span(tracer, "net.batch", src, legs=len(legs)) as batch:
             start = self.clock.now()
             for call in legs:
                 dedup = call.dedup if call.dedup is not None else self.next_dedup(src, call.dst)
-                with maybe_span(
-                    self.tracer, f"rpc:{call.kind}", src, dst=call.dst
-                ) as span:
+                attrs: dict[str, Any] = {"dst": call.dst}
+                traced = (
+                    tracer is not None
+                    and tracer.enabled
+                    and tracer.open_rpc(src, attrs, call.kind)
+                )
+                status = None
+                try:
                     msg = Message(
                         ("msg", self._ids.next_num("msg")),
                         src,
@@ -699,17 +732,18 @@ class Transport:
                         call.kind,
                         call.payload,
                         dedup=dedup,
-                        trace=self._trace_ctx(),
+                        trace=tracer.current_context() if traced else None,
                         deadline=deadline,
                     )
                     outcome, value, error, _, reply, wait, stall = self._leg(
                         msg, False, deadline, start, error_overrun_fails=False
                     )
-                    span.set(outcome=outcome)
+                    attrs["outcome"] = outcome
                     outcomes.append(RpcOutcome(call.dst, outcome == "ok", value, error, wait))
                     if outcome == "undeliverable":
                         continue
-                    span.set(bytes=msg.size_bytes, delay=round(wait, 9))
+                    attrs["bytes"] = msg.size_bytes
+                    attrs["delay"] = round(wait, 9)
                     if outcome == "deadline":
                         # An abandoned wait is a stall from the caller's
                         # seat, whatever the wire was doing.
@@ -717,11 +751,17 @@ class Transport:
                     else:
                         stall = min(stall, wait)
                         if stall:
-                            span.set(stall=round(stall, 9))
+                            attrs["stall"] = round(stall, 9)
                     if outcome == "ok" and health is not None:
                         # Recorded at the batch's start time, before the
                         # batch advances the clock.
                         health.record_success(call.dst, wait)
+                except BaseException as exc:
+                    status = exc.__class__.__name__
+                    raise
+                finally:
+                    if traced:
+                        tracer.close_rpc(status)
                 # A reply that landed past the deadline owns the tail even
                 # on a tie: its full round trip is what the caller gave up on.
                 if wait > max_delay or (outcome == "deadline" and reply is not None):

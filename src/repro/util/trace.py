@@ -30,11 +30,21 @@ scope, whose ``__exit__`` pops and closes the top frame; ``activate``,
 ``detached`` and ``deferring`` build scopes that act only at
 ``__enter__`` and ``__exit__``, so they may be built before they are
 entered.
+
+The four spans of a remote invocation leg (``net.call``,
+``net.attempt``, ``rpc:<kind>`` and ``handle:<object>.<method>``) are
+most of a traced run's spans, so they skip the :class:`Span` objects and
+scopes: ``Tracer.open_call`` … ``open_handle`` and the matching closers
+write them as *parts* of one :class:`LegRecord` per attempt, with the
+span ids reserved and the times read exactly when the spans would have
+opened and closed. :meth:`Tracer.spans` builds the :class:`Span` objects
+from the records when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable
 
 from repro.util.clock import VirtualClock
@@ -198,10 +208,11 @@ class _Detached:
 
 
 class _Deferring:
-    """Scope of :meth:`Tracer.deferring`: notes the span count on entry
-    and marks the block's direct children of ``ctx`` on exit."""
+    """Scope of :meth:`Tracer.deferring`: notes the span and leg record
+    counts on entry and marks the block's direct children of ``ctx`` on
+    exit."""
 
-    __slots__ = ("_tracer", "_ctx", "_start")
+    __slots__ = ("_tracer", "_ctx", "_start", "_legs")
 
     def __init__(self, tracer: Tracer, ctx: tuple[str, str] | None):
         self._tracer = tracer
@@ -209,6 +220,7 @@ class _Deferring:
 
     def __enter__(self) -> None:
         self._start = len(self._tracer._spans)
+        self._legs = len(self._tracer._legs)
 
     def __exit__(self, *exc: object) -> bool:
         ctx = self._ctx
@@ -217,7 +229,110 @@ class _Deferring:
             for span in self._tracer._spans[self._start :]:
                 if span.parent_id == parent_id:
                     span.attrs["deferred"] = True
+            # A record's first part is the only one whose parent can be
+            # ``ctx``; its attribute dict is the built span's, so a span
+            # already built by spans() gets the mark too.
+            for leg in self._tracer._legs[self._legs :]:
+                if leg.parent_id == parent_id:
+                    leg.first_attrs()["deferred"] = True
         return False
+
+
+#: the parts of a leg record, outermost first: each is the span of that
+#: name, and a part joins a record only directly inside the part before it
+CALL, ATTEMPT, RPC, HANDLE = range(4)
+#: each part's (id, start, end, status, attrs) slot names
+_PART_SLOTS = tuple(
+    tuple(part + field for field in ("", "_start", "_end", "_status", "_attrs"))
+    for part in ("call", "attempt", "rpc", "handle")
+)
+_by_seq = itemgetter(0)
+
+
+def _span_id(seq: int) -> str:
+    return "s" + str(seq).zfill(6)
+
+
+class LegRecord:
+    """The spans of one RPC attempt, recorded flat and built when read.
+
+    Up to four nested parts, outermost first: ``net.call`` (the ``call*``
+    slots), ``net.attempt`` (``attempt*``), ``rpc:<kind>`` (``rpc*``) and
+    ``handle:<target>`` (``handle*``). A part holds the span id number
+    reserved when it opened, its virtual start and end (unset while
+    open), its status (None = ok) and its attribute dict. ``first`` is
+    the outermost part, whose parent is ``parent_id``; the parts present
+    run from it without a gap, each a child of the one before. The call
+    and attempt parts run on ``caller``, the rpc part on ``src`` and the
+    handle part on ``node``.
+
+    While any part is open the record is one frame on the tracer's
+    stack, standing for its innermost open part (``frame``, that part's
+    span id number; 0 once the record has closed), so nested spans,
+    trace headers and step events see that part's span id. ``ctx``
+    caches the frame's ``(trace_id, span_id)``; ``joins`` is the part
+    that may still join the record (-1 once a part has closed).
+    """
+
+    __slots__ = (
+        "trace_id", "parent_id", "first", "frame", "ctx", "joins",
+        "caller", "src", "kind", "node", "target",
+        "call", "call_start", "call_end", "call_status", "call_attrs",
+        "attempt", "attempt_start", "attempt_end", "attempt_status", "attempt_attrs",
+        "rpc", "rpc_start", "rpc_end", "rpc_status", "rpc_attrs",
+        "handle", "handle_start", "handle_end", "handle_status", "handle_attrs",
+    )
+
+    @property
+    def span_id(self) -> str:
+        """Span id of the innermost open part."""
+        return _span_id(self.frame)
+
+    def first_attrs(self) -> dict[str, Any]:
+        """Attribute dict of the outermost part."""
+        return getattr(self, _PART_SLOTS[self.first][4])
+
+    def last_seq(self) -> int:
+        """Span id number of the innermost part."""
+        for slots in reversed(_PART_SLOTS[self.first :]):
+            seq = getattr(self, slots[0], 0)
+            if seq:
+                return seq
+        return 0
+
+    def expand(self, after: int, out: list[tuple[int, Span]]) -> None:
+        """Append ``(seq, span)`` for each part whose id number exceeds ``after``."""
+        trace_id = self.trace_id
+        parent = self.parent_id
+        for kind in range(self.first, HANDLE + 1):
+            seq_slot, start_slot, end_slot, status_slot, attrs_slot = _PART_SLOTS[kind]
+            seq = getattr(self, seq_slot, 0)
+            if not seq:
+                break
+            span_id = _span_id(seq)
+            if seq > after:
+                if kind == CALL:
+                    name, node = "net.call", self.caller
+                elif kind == ATTEMPT:
+                    name, node = "net.attempt", self.caller
+                elif kind == RPC:
+                    name, node = "rpc:" + self.kind, self.src
+                else:
+                    name, node = "handle:" + self.target, self.node
+                status = getattr(self, status_slot, None)
+                span = Span(
+                    span_id,
+                    trace_id,
+                    parent,
+                    name,
+                    node,
+                    getattr(self, start_slot),
+                    getattr(self, end_slot, None),
+                    getattr(self, attrs_slot),
+                    "ok" if status is None else status,
+                )
+                out.append((seq, span))
+            parent = span_id
 
 
 class Tracer:
@@ -227,10 +342,21 @@ class Tracer:
         self._clock = clock or VirtualClock()
         self._events: list[TraceEvent] = []
         self._spans: list[Span] = []
-        self._stack: list[Span | _NullSpan | _Activate] = []
+        #: leg records, in the order their first parts opened
+        self._legs: list[LegRecord] = []
+        self._stack: list[Span | _NullSpan | _Activate | LegRecord] = []
         self._trace_seq = 0
         self._span_seq = 0
         self._root_seq = 0
+        #: id number of the last span opened before the last ``clear()``
+        self._base_seq = 0
+        #: :meth:`spans` cache: the built spans, all closed, of every id
+        #: number up to ``_built_seq``; ``_spans`` and ``_legs`` hold
+        #: nothing new before ``_span_pos`` and ``_leg_pos``
+        self._built: list[Span] = []
+        self._built_seq = 0
+        self._span_pos = 0
+        self._leg_pos = 0
         self._scope = _SpanScope(self)
         self.enabled = True
         #: record every ``sample``-th root trace (1 = all); unsampled
@@ -267,9 +393,18 @@ class Tracer:
         return out
 
     def clear(self) -> None:
-        """Drop all recorded events and spans (open spans stay tracked)."""
+        """Drop all recorded events and spans (open spans stay tracked).
+
+        A span opened after this is listed even when it is a part of a
+        leg record that opened before: open records stay listed, and only
+        their parts opened from here on are built.
+        """
         self._events.clear()
         self._spans.clear()
+        self._legs = [f for f in self._stack if f.__class__ is LegRecord]
+        self._base_seq = self._built_seq = self._span_seq
+        self._built = []
+        self._span_pos = self._leg_pos = 0
 
     def assert_order(self, expected: Iterable[tuple[str, str]]) -> None:
         """Check that ``expected`` (actor, step) pairs appear in order.
@@ -388,12 +523,213 @@ class Tracer:
             if error is not None:
                 top.status = error
 
+    # Leg record parts: each opener opens the span Tracer.span would
+    # (a child of the top frame or of ``ctx``, root sampling, nothing
+    # under NULL_SPAN), reserving its id and reading the clock at the
+    # same moment, and each closer stamps its end and status where the
+    # span's ``with`` block would have exited. A part joins the record on
+    # top of the stack when it opens directly inside that record's
+    # innermost part and is the next one; otherwise it starts a new
+    # record. An opener returns whether its closer must follow: False
+    # when tracing is off or the parent is suppressed (nothing pushed),
+    # True otherwise, including for a sampled-out root (NULL_SPAN
+    # pushed, as by span()). The attribute dict is the span's; callers
+    # keep filling it until the part closes.
+
+    def _new_leg(self, first: int, ctx: tuple[str, str] | None) -> LegRecord | bool:
+        """Push a new leg record whose outermost part is ``first``."""
+        stack = self._stack
+        if ctx is not None:
+            trace_id, parent_id = ctx
+        elif not stack:
+            self._root_seq += 1
+            if self.sample > 1 and (self._root_seq - 1) % self.sample:
+                stack.append(NULL_SPAN)
+                return True
+            self._trace_seq += 1
+            trace_id = "t" + str(self._trace_seq).zfill(4)
+            parent_id = None
+        else:
+            top = stack[-1]
+            if top.__class__ is _NullSpan:
+                return False
+            trace_id = top.trace_id
+            parent_id = top.span_id
+        leg = LegRecord()
+        leg.trace_id = trace_id
+        leg.parent_id = parent_id
+        leg.first = first
+        leg.ctx = None
+        self._legs.append(leg)
+        stack.append(leg)
+        return leg
+
+    def open_call(
+        self, node: str, attrs: dict[str, Any], attempt_attrs: dict[str, Any]
+    ) -> bool:
+        """Open a ``net.call`` part on ``node`` and its first
+        ``net.attempt`` part, which open at the same moment, as a new
+        record. Close them with :meth:`close_attempt`, then
+        :meth:`close_call`."""
+        if not self.enabled:
+            return False
+        leg = self._new_leg(CALL, None)
+        if leg.__class__ is not LegRecord:
+            if leg:
+                self._stack.append(NULL_SPAN)  # the attempt's frame
+            return leg
+        seq = self._span_seq + 1
+        self._span_seq = seq + 1
+        leg.call_start = leg.attempt_start = self._clock.now()
+        leg.call = seq
+        leg.attempt = leg.frame = seq + 1
+        leg.call_attrs = attrs
+        leg.attempt_attrs = attempt_attrs
+        leg.caller = node
+        leg.joins = RPC
+        return True
+
+    def open_attempt(self, node: str, attrs: dict[str, Any]) -> bool:
+        """Open a retry's ``net.attempt`` part on ``node`` as a new record
+        (the first attempt opens with its call)."""
+        if not self.enabled:
+            return False
+        leg = self._new_leg(ATTEMPT, None)
+        if leg.__class__ is not LegRecord:
+            return leg
+        seq = self._span_seq = self._span_seq + 1
+        leg.attempt = leg.frame = seq
+        leg.attempt_start = self._clock.now()
+        leg.attempt_attrs = attrs
+        leg.caller = node
+        leg.joins = RPC
+        return True
+
+    def open_rpc(self, src: str, attrs: dict[str, Any], kind: str) -> bool:
+        """Open an ``rpc:<kind>`` part on ``src``; it joins the attempt
+        part it opens directly inside."""
+        if not self.enabled:
+            return False
+        stack = self._stack
+        leg = stack[-1] if stack else None
+        if leg.__class__ is LegRecord and leg.joins == RPC:
+            leg.ctx = None
+        else:
+            leg = self._new_leg(RPC, None)
+            if leg.__class__ is not LegRecord:
+                return leg
+        seq = self._span_seq = self._span_seq + 1
+        leg.rpc = leg.frame = seq
+        leg.rpc_start = self._clock.now()
+        leg.rpc_attrs = attrs
+        leg.src = src
+        leg.kind = kind
+        leg.joins = HANDLE
+        return True
+
+    def open_handle(
+        self,
+        node: str,
+        attrs: dict[str, Any],
+        target: str,
+        ctx: tuple[str, str] | None,
+    ) -> bool:
+        """Open a ``handle:<target>`` part on ``node`` under the remote
+        context ``ctx`` (as under :meth:`activate`; None = under the top
+        frame). It joins the rpc part whose own context ``ctx`` is."""
+        if not self.enabled:
+            return False
+        stack = self._stack
+        leg = stack[-1] if stack else None
+        if (
+            leg.__class__ is LegRecord
+            and leg.joins == HANDLE
+            and (ctx is None or ctx is leg.ctx or ctx[1] == leg.span_id)
+        ):
+            leg.ctx = None
+        else:
+            leg = self._new_leg(HANDLE, ctx)
+            if leg.__class__ is not LegRecord:
+                return leg
+        seq = self._span_seq = self._span_seq + 1
+        leg.handle = leg.frame = seq
+        leg.handle_start = self._clock.now()
+        leg.handle_attrs = attrs
+        leg.node = node
+        leg.target = target
+        leg.joins = -1
+        return True
+
+    def close_call(self, status: str | None = None) -> None:
+        """Close the ``net.call`` part on top (a call part is always a
+        record's first, so the record is popped)."""
+        leg = self._stack.pop()
+        if leg.__class__ is LegRecord:
+            leg.call_end = self._clock.now()
+            leg.call_status = status
+            leg.frame = 0
+
+    def close_attempt(self, status: str | None = None) -> None:
+        """Close the ``net.attempt`` part on top."""
+        stack = self._stack
+        leg = stack[-1]
+        if leg.__class__ is not LegRecord:
+            stack.pop()
+            return
+        leg.attempt_end = self._clock.now()
+        leg.attempt_status = status
+        leg.joins = -1
+        if leg.first == ATTEMPT:
+            stack.pop()
+            leg.frame = 0
+        else:
+            leg.frame = leg.call
+            leg.ctx = None
+
+    def close_rpc(self, status: str | None = None) -> None:
+        """Close the ``rpc:*`` part on top."""
+        stack = self._stack
+        leg = stack[-1]
+        if leg.__class__ is not LegRecord:
+            stack.pop()
+            return
+        leg.rpc_end = self._clock.now()
+        leg.rpc_status = status
+        leg.joins = -1
+        if leg.first == RPC:
+            stack.pop()
+            leg.frame = 0
+        else:
+            leg.frame = leg.attempt
+            leg.ctx = None
+
+    def close_handle(self, status: str | None = None) -> None:
+        """Close the ``handle:*`` part on top."""
+        stack = self._stack
+        leg = stack[-1]
+        if leg.__class__ is not LegRecord:
+            stack.pop()
+            return
+        leg.handle_end = self._clock.now()
+        leg.handle_status = status
+        if leg.first == HANDLE:
+            stack.pop()
+            leg.frame = 0
+        else:
+            leg.frame = leg.rpc
+            leg.ctx = None
+
     def current_context(self) -> tuple[str, str] | None:
         """``(trace_id, span_id)`` of the innermost live frame, if any."""
         stack = self._stack
         if not stack:
             return None
         top = stack[-1]
+        if top.__class__ is LegRecord:
+            ctx = top.ctx
+            if ctx is None:
+                ctx = top.ctx = (top.trace_id, _span_id(top.frame))
+            return ctx
         if top.__class__ is _NullSpan:
             return None
         return (top.trace_id, top.span_id)
@@ -401,6 +737,12 @@ class Tracer:
     def current_span_id(self) -> str | None:
         stack = self._stack
         return stack[-1].span_id if stack else None
+
+    def current_trace_id(self) -> str | None:
+        """Trace id of the innermost live frame, if any (the first half
+        of :meth:`current_context`, without building the span id)."""
+        stack = self._stack
+        return stack[-1].trace_id if stack else None
 
     def activate(self, ctx: tuple[str, str] | None) -> _Activate:
         """Re-enter a remote context carried in a message header.
@@ -434,8 +776,46 @@ class Tracer:
         return _Deferring(self, ctx)
 
     def spans(self) -> list[Span]:
-        """All recorded spans, in open order."""
-        return list(self._spans)
+        """All recorded spans, in open (span id) order.
+
+        Leg record parts are built into :class:`Span` objects here. The
+        built spans up to the first one still open are cached, so a
+        repeated read builds only what is new; an open part is built
+        afresh on each read, with ``end=None``.
+        """
+        after = self._built_seq
+        fresh: list[tuple[int, Span]] = [
+            (int(span.span_id[1:]), span) for span in self._spans[self._span_pos :]
+        ]
+        for leg in self._legs[self._leg_pos :]:
+            leg.expand(after, fresh)
+        fresh.sort(key=_by_seq)
+        closed = 0
+        for _, span in fresh:
+            if span.end is None:
+                break
+            closed += 1
+        built = self._built
+        if closed:
+            built.extend(span for _, span in fresh[:closed])
+            after = self._built_seq = fresh[closed - 1][0]
+            spans, pos = self._spans, self._span_pos
+            while pos < len(spans) and int(spans[pos].span_id[1:]) <= after:
+                pos += 1
+            self._span_pos = pos
+            legs, pos = self._legs, self._leg_pos
+            while pos < len(legs) and not legs[pos].frame and legs[pos].last_seq() <= after:
+                pos += 1
+            self._leg_pos = pos
+        return built + [span for _, span in fresh[closed:]]
+
+    def span_count(self) -> int:
+        """How many spans :meth:`spans` lists, without building them.
+
+        Every recorded span takes the next id number, and ``clear()``
+        drops exactly the ones numbered before it.
+        """
+        return self._span_seq - self._base_seq
 
 
 def maybe_span(tracer: Tracer | None, name: str, node: str = "", **attrs: Any):
