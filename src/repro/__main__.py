@@ -15,11 +15,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from repro import SyDWorld
 from repro.calendar.app import SyDCalendarApp
 from repro.calendar.appobject import CommitteeCalendars
 from repro.calendar.model import OrGroup
+
+if TYPE_CHECKING:
+    from repro.chaos import ChaosConfig
 
 
 def tour() -> int:
@@ -75,12 +79,52 @@ def tour() -> int:
     return 0
 
 
-def chaos_main(args: argparse.Namespace) -> int:
-    from repro.chaos import ChaosCampaign, ChaosConfig
+def _episode_args(parser: argparse.ArgumentParser) -> None:
+    """The chaos episode knobs, shared by ``chaos`` and ``obs --episode``."""
+    parser.add_argument("--users", type=int, default=6)
+    parser.add_argument("--ops", type=int, default=40, help="workload ops per episode")
+    parser.add_argument("--duration", type=float, default=120.0,
+                        help="virtual seconds per episode")
+    parser.add_argument("--intensity", type=float, default=1.0,
+                        help="fault-rate multiplier (0 = no faults)")
+    parser.add_argument("--no-retry", action="store_true",
+                        help="disable the engine RetryPolicy (expect violations)")
+    parser.add_argument("--no-dedup", action="store_true",
+                        help="disable receiver-side exactly-once dedup "
+                             "(at-least-once ablation; expect violations)")
+    parser.add_argument("--no-recovery", action="store_true",
+                        help="disable durable intent logs, crash recovery and "
+                             "the lease termination protocol (pre-recovery "
+                             "coordinator ablation; expect violations)")
+    parser.add_argument("--profile", type=str, default="mixed",
+                        choices=("classic", "delivery", "mixed", "recovery",
+                                 "sharded", "gray"),
+                        help="fault-kind mix for generated schedules")
+    parser.add_argument("--no-health", action="store_true",
+                        help="disable the adaptive gray-failure layer "
+                             "(phi-accrual detection, deadline budgets, "
+                             "suspicion-ordered failover; expect "
+                             "no_lease_overrun under the gray profile)")
+    parser.add_argument("--no-hedge", action="store_true",
+                        help="disable hedged directory reads (keeps the "
+                             "rest of the health layer on)")
+    parser.add_argument("--directory-shards", type=int, default=1,
+                        help="directory shard count (1 = single-node "
+                             "directory, byte-identical to pre-sharding)")
+    parser.add_argument("--directory-replicas", type=int, default=1,
+                        help="replicas per directory key (capped at the "
+                             "shard count)")
+    parser.add_argument("--schedule", type=str, default=None,
+                        help="JSON fault schedule (from a repro command)")
 
-    config = ChaosConfig(
+
+def _chaos_config(args: argparse.Namespace, **knobs) -> ChaosConfig:
+    """The :class:`~repro.chaos.ChaosConfig` of ``_episode_args`` plus
+    the subcommand's own ``knobs``."""
+    from repro.chaos import ChaosConfig
+
+    return ChaosConfig(
         seed=args.seed,
-        episodes=args.episodes,
         users=args.users,
         ops=args.ops,
         duration=args.duration,
@@ -89,15 +133,25 @@ def chaos_main(args: argparse.Namespace) -> int:
         dedup=not args.no_dedup,
         recovery=not args.no_recovery,
         profile=args.profile,
-        shrink=not args.no_shrink,
-        episode=args.episode,
-        schedule_json=args.schedule,
-        tracing=not args.no_tracing,
-        trace_dir=args.trace_dir,
-        directory_shards=args.directory_shards,
-        directory_replicas=args.directory_replicas,
         health=not args.no_health,
         hedge=not args.no_hedge,
+        directory_shards=args.directory_shards,
+        directory_replicas=args.directory_replicas,
+        schedule_json=args.schedule,
+        **knobs,
+    )
+
+
+def chaos_main(args: argparse.Namespace) -> int:
+    from repro.chaos import ChaosCampaign
+
+    config = _chaos_config(
+        args,
+        episodes=args.episodes,
+        shrink=not args.no_shrink,
+        episode=args.episode,
+        tracing=not args.no_tracing,
+        trace_dir=args.trace_dir,
     )
     result = ChaosCampaign(config).run()
     lines = result.log_lines()
@@ -151,24 +205,9 @@ def obs_main(args: argparse.Namespace) -> int:
 
     if args.episode is not None:
         # Replay one chaos episode under full tracing and export it.
-        from repro.chaos import ChaosCampaign, ChaosConfig
+        from repro.chaos import ChaosCampaign
 
-        config = ChaosConfig(
-            seed=args.seed,
-            users=args.users,
-            ops=args.ops,
-            duration=args.duration,
-            intensity=args.intensity,
-            profile=args.profile,
-            retry=not args.no_retry,
-            dedup=not args.no_dedup,
-            recovery=not args.no_recovery,
-            health=not args.no_health,
-            hedge=not args.no_hedge,
-            shrink=False,
-            schedule_json=args.schedule,
-        )
-        campaign = ChaosCampaign(config)
+        campaign = ChaosCampaign(_chaos_config(args, shrink=False))
         episode = campaign.run_episode(args.episode, quiet=True)
         world = campaign.last_world
         label = f"chaos episode {args.episode} (seed {args.seed})"
@@ -276,45 +315,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     chaos.add_argument("--seed", type=int, default=0, help="campaign master seed")
     chaos.add_argument("--episodes", type=int, default=10)
-    chaos.add_argument("--users", type=int, default=6)
-    chaos.add_argument("--ops", type=int, default=40, help="workload ops per episode")
-    chaos.add_argument("--duration", type=float, default=120.0,
-                       help="virtual seconds per episode")
-    chaos.add_argument("--intensity", type=float, default=1.0,
-                       help="fault-rate multiplier (0 = no faults)")
-    chaos.add_argument("--no-retry", action="store_true",
-                       help="disable the engine RetryPolicy (expect violations)")
-    chaos.add_argument("--no-dedup", action="store_true",
-                       help="disable receiver-side exactly-once dedup "
-                            "(at-least-once ablation; expect violations)")
-    chaos.add_argument("--no-recovery", action="store_true",
-                       help="disable durable intent logs, crash recovery and "
-                            "the lease termination protocol (pre-recovery "
-                            "coordinator ablation; expect violations)")
-    chaos.add_argument("--profile", type=str, default="mixed",
-                       choices=("classic", "delivery", "mixed", "recovery",
-                                "sharded", "gray"),
-                       help="fault-kind mix for generated schedules")
-    chaos.add_argument("--no-health", action="store_true",
-                       help="disable the adaptive gray-failure layer "
-                            "(phi-accrual detection, deadline budgets, "
-                            "suspicion-ordered failover; expect "
-                            "no_lease_overrun under the gray profile)")
-    chaos.add_argument("--no-hedge", action="store_true",
-                       help="disable hedged directory reads (keeps the "
-                            "rest of the health layer on)")
-    chaos.add_argument("--directory-shards", type=int, default=1,
-                       help="directory shard count (1 = single-node "
-                            "directory, byte-identical to pre-sharding)")
-    chaos.add_argument("--directory-replicas", type=int, default=1,
-                       help="replicas per directory key (capped at the "
-                            "shard count)")
+    _episode_args(chaos)
     chaos.add_argument("--no-shrink", action="store_true",
                        help="skip bisect-shrinking a failing schedule")
     chaos.add_argument("--episode", type=int, default=None,
                        help="run only this episode index")
-    chaos.add_argument("--schedule", type=str, default=None,
-                       help="JSON fault schedule (from a repro command)")
     chaos.add_argument("--log", type=str, default=None,
                        help="also write the episode log to this file")
     chaos.add_argument("--no-tracing", action="store_true",
@@ -353,20 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     obs.add_argument("--episode", type=int, default=None,
                      help="replay this chaos episode index instead of the "
                           "scenario (combine with the chaos knobs below)")
-    obs.add_argument("--users", type=int, default=6)
-    obs.add_argument("--ops", type=int, default=40)
-    obs.add_argument("--duration", type=float, default=120.0)
-    obs.add_argument("--intensity", type=float, default=1.0)
-    obs.add_argument("--profile", type=str, default="mixed",
-                     choices=("classic", "delivery", "mixed", "recovery",
-                              "sharded", "gray"))
-    obs.add_argument("--no-retry", action="store_true")
-    obs.add_argument("--no-dedup", action="store_true")
-    obs.add_argument("--no-recovery", action="store_true")
-    obs.add_argument("--no-health", action="store_true")
-    obs.add_argument("--no-hedge", action="store_true")
-    obs.add_argument("--schedule", type=str, default=None,
-                     help="JSON fault schedule (from a repro command)")
+    _episode_args(obs)
 
     args = parser.parse_args(argv)
     if args.command == "chaos":

@@ -1624,9 +1624,11 @@ def write_json(table: dict[str, Any], wall_time_s: float, json_dir: str, fast: b
 
     An experiment may name its artifact explicitly via an ``"artifact"``
     key (E15 writes ``BENCH_throughput.json``) and contribute extra
-    ``"meta"`` entries, merged alongside the harness's own.
+    ``"meta"`` entries, merged alongside the harness's own. ``json_dir``
+    is created, with its parents, if it does not exist.
     """
     path = Path(json_dir) / table.get("artifact", f"BENCH_{table['id'].lower()}.json")
+    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "id": table["id"],
         "title": table["title"],

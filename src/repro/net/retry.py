@@ -81,9 +81,9 @@ def retry_call(
 ):
     """Run ``fn`` under ``policy``, re-invoking on transient failures.
 
-    ``stats`` (a :class:`~repro.net.stats.NetworkStats` or None) gets one
-    ``record_retry`` per re-attempt and one ``record_retry_success`` when
-    a retried call eventually succeeds. With ``policy=None`` this is a
+    ``stats`` (a :class:`~repro.net.stats.NetworkStats` or None) counts
+    one ``retries`` per re-attempt and one ``retry_successes`` when a
+    retried call eventually succeeds. With ``policy=None`` this is a
     plain call.
 
     With a ``deadline`` (absolute simulated time; requires ``clock``),
@@ -142,7 +142,7 @@ def retry_call(
                 policy.pause_for(backoff)
                 backoff_total += backoff
                 if stats is not None:
-                    stats.record_retry()
+                    stats.add("retries")
                 attempt += 1
                 tried = (
                     tracer is not None
@@ -157,7 +157,7 @@ def retry_call(
                 if tried:
                     tracer.close_attempt()
                 if attempt > 1 and stats is not None:
-                    stats.record_retry_success()
+                    stats.add("retry_successes")
                 call_attrs["attempts"] = attempt
                 if backoff_total:
                     call_attrs["backoff_total"] = round(backoff_total, 9)
@@ -224,12 +224,12 @@ def rpc_many_with_retry(
             backoff=round(backoff, 9),
         ):
             policy.pause_for(backoff)
-            transport.stats.record_retry(len(pending))
+            transport.stats.add("retries", len(pending))
             wave = [legs[i] for i in pending]
             redone = transport.rpc_many(src, wave, deadline)
         for i, outcome in zip(pending, redone):
             outcomes[i] = outcome
             if outcome.ok:
-                transport.stats.record_retry_success()
+                transport.stats.add("retry_successes")
         attempt += 1
     return outcomes

@@ -289,10 +289,21 @@ class Transport:
             delay += self.faults.gray_delay(msg.src, msg.dst)
         if advance:
             self.clock.advance(delay)
-        self.stats.record_delivery(msg.kind, msg.size_bytes, delay, msg.is_reply)
+        self._count_leg(msg, delay)
         for tap in self.taps:
             tap(msg)
         return delay
+
+    def _count_leg(self, msg: Message, delay: float) -> None:
+        """Count one delivered leg, request or reply, in the traffic stats."""
+        stats = self.stats
+        add = stats.add
+        add("messages")
+        if msg.is_reply:
+            add("replies")
+        add("bytes", msg.size_bytes)
+        add("latency", delay)
+        stats.add_kind(msg.kind)
 
     def _deliver(self, msg: Message, advance: bool = True) -> float:
         """Account one message leg (or raise); returns its delay.
@@ -304,10 +315,8 @@ class Transport:
             raise UnreachableError(f"source node {msg.src!r} not attached")
         failure = self._undeliverable(msg)
         if failure is not None:
-            if isinstance(failure, MessageDropped):
-                self.stats.record_dropped()
-            else:
-                self.stats.record_unreachable()
+            dropped = isinstance(failure, MessageDropped)
+            self.stats.add("dropped" if dropped else "unreachable")
             raise failure
         return self._account_delivery(msg, advance)
 
@@ -455,7 +464,7 @@ class Transport:
                 raise error  # type: ignore[misc]
             span.set(bytes=msg.size_bytes)
             if error is not None:
-                self.stats.record_send_failure()
+                self.stats.add("send_failures")
                 span.set(outcome="remote_error")
             else:
                 span.set(outcome="ok")
@@ -601,7 +610,7 @@ class Transport:
 
             # Hedge fires: the same request at the backup owner, its
             # round trip starting hedge_delay after the primary's.
-            self.stats.record_hedge()
+            self.stats.add("hedges")
             b_msg = Message(
                 ("msg", self._ids.next_num("msg")),
                 src,
@@ -642,7 +651,7 @@ class Transport:
                 if win_stall:
                     attrs["stall"] = round(min(win_stall, total), 9)
                 if which == 1:
-                    self.stats.record_hedge_win()
+                    self.stats.add("hedge_wins")
                     attrs["winner"] = "backup"
                     attrs["outcome"] = "hedge_win"
                     attrs["delay"] = round(total, 9)
@@ -771,7 +780,10 @@ class Transport:
             batch.set(max_delay=round(max_delay, 9))
             if batch_stall:
                 batch.set(stall=round(batch_stall, 9))
-        self.stats.record_batch(len(legs), max_delay)
+        stats = self.stats
+        stats.add("concurrent_batches")
+        stats.add("batched_legs", len(legs))
+        stats.registry.record_value(stats.NODE, "net.batch_latency", max_delay)
         return outcomes
 
     # -- duplicate delivery (fault model) ----------------------------------
@@ -800,7 +812,7 @@ class Transport:
         if msg.src not in self._addresses or self._undeliverable(msg) is not None:
             return
         self._account_delivery(msg, advance)
-        self.stats.record_duplicate()
+        self.stats.add("duplicates")
         # A duplicate belongs to the trace of the original request: re-enter
         # its context (a scheduler-fired redelivery otherwise has no parent).
         tracer = self.tracer
@@ -856,14 +868,14 @@ class Transport:
         faults = self.faults
         active = faults.active  # inert: the reply cannot be lost or delayed
         if active and not faults.reachable(request.dst, request.src):
-            self.stats.record_reply_lost()
+            self.stats.add("reply_lost")
             for tap in self.reply_loss_taps:
                 tap(reply)
             raise UnreachableError(
                 f"reply to {request.src!r} lost: unreachable from {request.dst!r}"
             )
         if active and faults.should_drop(reply):
-            self.stats.record_reply_lost()
+            self.stats.add("reply_lost")
             for tap in self.reply_loss_taps:
                 tap(reply)
             raise MessageDropped(
@@ -885,7 +897,7 @@ class Transport:
                 delay += stall
         if advance:
             self.clock.advance(delay)
-        self.stats.record_delivery(reply.kind, reply.size_bytes, delay, True)
+        self._count_leg(reply, delay)
         for tap in self.taps:
             tap(reply)
         return delay, stall

@@ -17,6 +17,10 @@ Metric names follow ``subsystem.metric[.qualifier]`` — e.g.
 keyed by ``(node, name)`` so fleets aggregate naturally.  Everything is
 plain dict state updated synchronously from simulation code, so
 snapshots are deterministic for a fixed seed.
+
+Metrics only accumulate: nothing resets the registry, and a harness
+measures an interval by differencing two snapshots (the traffic
+counters through :meth:`~repro.net.stats.StatsSnapshot.delta`).
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ class MetricsRegistry:
     def counter_map(self) -> dict[tuple[str, str], float]:
         """The live counter dict, for hot-path accumulators.
 
-        Trusted recorders (:class:`~repro.net.stats.NetworkStats`) update
-        this directly with precomputed ``(node, name)`` key tuples —
+        Hot-path writers (:class:`~repro.net.stats.NetworkStats`, the WAL)
+        update this directly with precomputed ``(node, name)`` key tuples:
         identical end state to calling :meth:`inc` per event, without a
         method call and f-string per counter bump. Readers should stick
         to :meth:`counter`/:meth:`snapshot`.
@@ -167,15 +171,3 @@ class MetricsRegistry:
                 f"windows={len(windows)}"
             )
         return "\n".join(lines)
-
-    def reset_node(self, node: str) -> None:
-        """Drop every metric recorded under ``node``."""
-        for store in (self._counters, self._gauges, self._digests):
-            for key in [k for k in store if k[0] == node]:
-                del store[key]
-
-    def reset(self) -> None:
-        """Drop every metric."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._digests.clear()

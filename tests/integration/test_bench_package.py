@@ -1,8 +1,10 @@
 """Tests for the benchmark support package itself."""
 
+import json
+
 import pytest
 
-from repro.bench.harness import ALL_EXPERIMENTS, run_experiment
+from repro.bench.harness import ALL_EXPERIMENTS, main, run_experiment
 from repro.bench.metrics import Measurement, format_table, measure
 from repro.bench.workloads import (
     MeetingRequest,
@@ -105,6 +107,15 @@ class TestHarness:
         assert table["rows"]
         assert len(table["columns"]) == len(table["rows"][0])
         assert table["id"].upper() == exp_id
+
+    def test_json_dir_is_created(self, tmp_path, capsys):
+        # Regression: a --json-dir that did not exist yet failed in
+        # write_json after the experiment had already run.
+        json_dir = tmp_path / "new" / "dir"
+        assert main(["--exp", "E3", "--fast", "--json-dir", str(json_dir)]) == 0
+        path = json_dir / "BENCH_e3.json"
+        assert f"[wrote {path}]" in capsys.readouterr().out
+        assert json.loads(path.read_text())["id"] == "E3"
 
     def test_e17_shape_and_gates(self):
         table = run_experiment("E17", fast=True)

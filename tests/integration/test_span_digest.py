@@ -27,6 +27,7 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.chaos import ChaosCampaign, ChaosConfig
 from repro.obs import attribution_report, chrome_trace, evaluate, render_report
 from repro.obs.export import dumps_chrome_trace
@@ -119,3 +120,21 @@ def test_episode_span_digest_is_pinned(profile):
     digest, exports = PINNED_EPISODES[profile]
     assert _digest(world.tracer) == digest
     assert _exports(world, f"{profile} episode {index}") == exports
+
+
+def test_obs_cli_prints_the_pinned_gray_episode(tmp_path, capsys):
+    """``obs --episode`` takes the directory shape like ``chaos`` does,
+    so the gray 4x2 episode's SLO report and metrics are the pinned ones."""
+    argv = [
+        "obs", "--episode", "1", "--seed", "7", "--profile", "gray",
+        "--directory-shards", "4", "--directory-replicas", "2",
+        "--slo", "--metrics", "--out", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("timeline: ")) + 1
+    split = next(i for i, line in enumerate(lines) if line.startswith("counter "))
+    printed = {"slo": lines[start:split], "metrics": lines[split:]}
+    exports = PINNED_EPISODES["gray"][1]
+    for name, text in printed.items():
+        assert hashlib.sha256("\n".join(text).encode()).hexdigest() == exports[name], name

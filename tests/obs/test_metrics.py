@@ -5,7 +5,9 @@ from collections import Counter
 import pytest
 
 from repro.device.resource import ResourceObject
+from repro.net.message import Message
 from repro.net.stats import NetworkStats
+from repro.net.transport import Transport
 from repro.obs.metrics import MetricsRegistry
 from repro.util.clock import VirtualClock
 from repro.world import SyDWorld
@@ -43,14 +45,6 @@ class TestRegistry:
         assert "counter a/x = 1" in rendered
         assert "gauge   a/g = 1.5" in rendered
         assert "digest  a/h count=1" in rendered
-
-    def test_reset_node_only_drops_that_node(self):
-        reg = MetricsRegistry()
-        reg.inc("a", "x")
-        reg.inc("b", "x")
-        reg.reset_node("a")
-        assert reg.counter("a", "x") == 0
-        assert reg.counter("b", "x") == 1
 
     def test_digests_keep_exact_min_max(self):
         # Regression: power-of-two buckets could not tell 1.1 s from
@@ -95,8 +89,14 @@ class TestNetworkStatsView:
     def test_stats_land_in_the_shared_registry(self):
         reg = MetricsRegistry()
         stats = NetworkStats(reg)
-        stats.record_delivery("invoke", 100, 0.02, is_reply=False)
-        stats.record_delivery("reply", 40, 0.01, is_reply=True)
+        transport = Transport(stats=stats)
+        for kind, size, delay, is_reply in (
+            ("invoke", 100, 0.02, False),
+            ("reply", 40, 0.01, True),
+        ):
+            msg = Message(("msg", 1), "a", "b", kind, is_reply=is_reply)
+            msg.size_bytes = size
+            transport._count_leg(msg, delay)
         assert stats.messages == 2 and stats.replies == 1
         assert stats.bytes == 140
         assert reg.counter("net", "net.messages") == 2
@@ -105,7 +105,7 @@ class TestNetworkStatsView:
 
     def test_standalone_stats_own_a_private_registry(self):
         stats = NetworkStats()
-        stats.record_retry()
+        stats.add("retries")
         assert stats.retries == 1
         assert stats.registry.counter("net", "net.retries") == 1
 
