@@ -24,7 +24,7 @@ from repro.calendar.proxysupport import CalendarReadFacade
 from repro.calendar.service import CalendarService
 from tests.calendar.conftest import block_window
 
-SCENARIO_DIGEST = "d074a6ce847bb8d0de39fd6cc89ca22b15cc46856b6842d43ff860ff560fbc48"
+SCENARIO_DIGEST = "8a5f8e0f6b9593d8bbf3883549e46d041984275fa1f7b295d5651607ce3b6a1d"
 
 SERVICE_METHODS = [
     "block", "change", "direct_write_slot", "get_meeting", "get_slot",
@@ -150,8 +150,9 @@ def run_scenario():
 
 
 def _digest(legs, out, world) -> str:
-    snap = dataclasses.asdict(world.stats.snapshot())
-    snap["by_kind"] = sorted(snap["by_kind"].items())
+    snapshot = world.stats.snapshot()
+    snap = dataclasses.asdict(snapshot)
+    snap["by_kind"] = sorted(snapshot.by_kind.items())
     blob = repr((legs, sorted(out.items()), sorted(snap.items()), repr(world.now)))
     return hashlib.sha256(blob.encode()).hexdigest()
 
