@@ -13,7 +13,9 @@ Run everything::
 
 Each run also writes a machine-readable ``BENCH_<id>.json`` per
 experiment (columns, rows, wall time) next to the working directory;
-``--json-dir`` redirects them, ``--no-json`` disables.
+``--json-dir`` redirects them, ``--no-json`` disables. Every experiment
+with a committed artifact declares its regression gates with ``@gated``;
+``python -m repro.bench.regress`` enforces them.
 """
 
 from __future__ import annotations
@@ -40,6 +42,23 @@ from repro.world import SyDWorld
 
 # --------------------------------------------------------------------------- helpers
 
+def gated(key: tuple[str, ...], sim: tuple[str, ...] = (), wall: tuple[str, ...] = ()):
+    """Declare the regression claims of an experiment beside it.
+
+    ``key`` names the columns that identify a row; ``sim`` names the
+    deterministic simulated-time and count columns and ``wall`` the
+    host-dependent wall-clock ones, every one lower-is-better.
+    ``python -m repro.bench.regress`` reruns the experiment and holds
+    each gated cell of its committed artifact to its class tolerance.
+    """
+
+    def declare(fn):
+        fn.gates = {"key": key, "sim": sim, "wall": wall}
+        return fn
+
+    return declare
+
+
 def _resource_world(
     n_users: int,
     seed: int = 1,
@@ -59,6 +78,7 @@ def _resource_world(
 
 # --------------------------------------------------------------------------- E1
 
+@gated(key=("operation", "targets"), sim=("messages", "sim elapsed (ms)"))
 def exp_e1_kernel_ops(group_sizes=(2, 4, 8, 16, 32, 64), seed: int = 1) -> dict[str, Any]:
     """E1 (Figures 1-3): cost of the SyD Kernel primitives.
 
@@ -109,6 +129,10 @@ def exp_e1_kernel_ops(group_sizes=(2, 4, 8, 16, 32, 64), seed: int = 1) -> dict[
 
 # --------------------------------------------------------------------------- E2
 
+@gated(
+    key=("constraint", "targets", "availability"),
+    sim=("messages", "sim elapsed (ms)"),
+)
 def exp_e2_negotiation(
     sizes=(2, 4, 8, 16),
     availabilities=(1.0, 0.75, 0.5, 0.25),
@@ -171,6 +195,7 @@ def exp_e2_negotiation(
 
 # --------------------------------------------------------------------------- E3
 
+@gated(key=("waiting links",), sim=("messages", "sim elapsed (ms)"))
 def exp_e3_cancel_cascade(depths=(1, 2, 4, 8, 16, 32), seed: int = 3) -> dict[str, Any]:
     """E3 (§4.4): waiting-link promotion + cascade deletion vs chain depth."""
     rows: list[list[Any]] = []
@@ -208,6 +233,7 @@ def exp_e3_cancel_cascade(depths=(1, 2, 4, 8, 16, 32), seed: int = 3) -> dict[st
 
 # --------------------------------------------------------------------------- E4
 
+@gated(key=("participants", "occupancy"), sim=("messages/req", "sim elapsed (ms)"))
 def exp_e4_meeting_setup(
     occupancies=(0.1, 0.3, 0.5, 0.7, 0.9),
     participants=(2, 4, 8),
@@ -688,6 +714,7 @@ def exp_e10_contention(
     }
 
 
+@gated(key=("intensity", "retry"), sim=("violations", "messages"))
 def exp_e11_chaos(
     intensities=(0.5, 1.0, 2.0), episodes: int = 10, seed: int = 7
 ) -> dict[str, Any]:
@@ -745,6 +772,7 @@ def exp_e11_chaos(
     }
 
 
+@gated(key=("mode",), sim=("violations", "messages", "bytes/msg", "per-call (ms)"))
 def exp_e12_dedup(episodes: int = 10, calls: int = 50, seed: int = 7) -> dict[str, Any]:
     """E12 — exactly-once dispatch: what it costs and what it buys.
 
@@ -848,6 +876,7 @@ def exp_e12_dedup(episodes: int = 10, calls: int = 50, seed: int = 7) -> dict[st
     }
 
 
+@gated(key=("mode",), sim=("violations", "decision_agreement", "no_stranded_marks"))
 def exp_e13_recovery(episodes: int = 10, seed: int = 7) -> dict[str, Any]:
     """E13 — coordinator crash recovery: the ``recovery`` fault profile
     (mid-protocol coordinator deaths at targeted phases, plus ordinary
@@ -906,6 +935,11 @@ def exp_e13_recovery(episodes: int = 10, seed: int = 7) -> dict[str, Any]:
     }
 
 
+@gated(
+    key=("mode",),
+    sim=("messages", "bytes/msg", "per-call (ms, sim)"),
+    wall=("per-call (µs, wall)",),
+)
 def exp_e14_obs(calls: int = 50, seed: int = 1, sample: int = 4) -> dict[str, Any]:
     """E14 — causal tracing: wire overhead and span cost.
 
@@ -977,6 +1011,7 @@ def exp_e14_obs(calls: int = 50, seed: int = 1, sample: int = 4) -> dict[str, An
     }
 
 
+@gated(key=("workload", "mode"), wall=("µs/msg",))
 def exp_e15_throughput(
     rpc_calls: int = 20000,
     batches: int = 250,
@@ -1100,6 +1135,7 @@ def exp_e15_throughput(
     }
 
 
+@gated(key=("devices",), wall=("p50 lookup (µs)",))
 def exp_e16_scale(
     populations=(1_000, 10_000, 100_000),
     big_population: int = 1_000_000,
@@ -1203,7 +1239,7 @@ def exp_e16_scale(
         rows.append(run_row(big_population))
 
     by_pop = {row[0]: row for row in rows}
-    p50_index = 4
+    p50_index, msgs_index = 4, 6
     lo = min(by_pop)
     hi = max(by_pop)
     flat = by_pop[hi][p50_index] <= 2 * by_pop[lo][p50_index]
@@ -1224,12 +1260,14 @@ def exp_e16_scale(
         "artifact": "BENCH_scale.json",
         "meta": {
             "flat_within_2x": flat,
+            "two_msgs_per_lookup": all(row[msgs_index] == 2.0 for row in rows),
             "flat_pair": [lo, hi],
             "per_shard_devices": per_shard,
         },
     }
 
 
+@gated(key=("mode",), sim=("p50 (sim ms)", "p99 (sim ms)", "msgs/lookup"))
 def exp_e17_hedging(
     population: int = 240,
     lookups: int = 400,
@@ -1348,6 +1386,7 @@ def exp_e17_hedging(
     }
 
 
+@gated(key=("profile", "quantile"), sim=("elapsed (sim ms)",))
 def exp_e18_attribution(
     users: int = 6,
     ops: int = 40,
@@ -1515,7 +1554,7 @@ def exp_e18_attribution(
         *run_slow_shard("slow-shard no-hedge", hedge=False),
     ]
     by_key = {(row[0], row[1]): row for row in rows}
-    elapsed, backoff, stall = 3, 5, 6
+    elapsed, backoff, stall, coverage = 3, 5, 6, 8
 
     def wait_share(key: tuple[str, str]) -> float:
         row = by_key[key]
@@ -1550,6 +1589,7 @@ def exp_e18_attribution(
         "rows": rows,
         "meta": {
             "tail_is_waiting": tail_is_waiting,
+            "coverage_within_0p1": all(abs(row[coverage] - 100.0) <= 0.1 for row in rows),
             "hedge_removes_slow_shard_tail": hedge_helps,
             "gray_p99_stall_share": by_key[("gray", "p99")][stall]
             if ("gray", "p99") in by_key

@@ -1,35 +1,35 @@
 """Bench-trajectory regression gate: fresh runs vs committed artifacts.
 
-The committed ``BENCH_*.json`` files are not documentation — they are
-the performance claims this repo makes, and this module is what keeps
-them honest. It reruns a small battery of experiments and compares the
-results against the committed artifacts::
+The committed ``BENCH_*.json`` files are the performance claims this
+repo makes, and this module keeps them honest. It reruns the
+experiment behind every artifact in a directory and holds the fresh
+table to the committed one::
 
     python -m repro.bench.regress                  # gate HEAD
     python -m repro.bench.regress --artifact-dir d # gate against copies
+    python -m repro.bench.regress --check E17      # gate one artifact
 
-Exit status 0 means every metric held; 1 means at least one regressed,
-and the failing metrics are named on stdout (the CI ``slo-gate`` job
-also runs the gate against a deliberately doctored artifact and asserts
-it fails).
+Exit status 0 means every claim held; 1 means at least one regressed,
+and the failing metrics are named on stdout.
 
-Two tolerance regimes, chosen per metric:
+Each experiment declares its claims beside its code with ``@gated``
+(:mod:`repro.bench.harness`): the columns that key a row, and its
+gated columns, every one lower-is-better, in two tolerance classes:
 
-* **Simulated-time metrics** (E17 tail latencies, E18 attribution) are
-  deterministic — the same seed must reproduce the same virtual-clock
-  numbers — so the gate is tight: fresh may not be worse than committed
-  by more than ``SIM_TOLERANCE`` (15%, slack for intentional re-runs
-  after small timing-model changes; genuine regressions blow well past
-  it).
-* **Wall-clock metrics** (E15 µs/msg, E16 per-lookup latency) vary with
-  the host, so the gate is a floor with ``WALL_TOLERANCE`` (4×) slack:
-  wide enough for a noisy shared CI runner, narrow enough to catch the
-  order-of-magnitude slowdowns that matter (a de-optimized transport
-  path, accidentally quadratic hot loops).
+* ``sim`` — deterministic virtual-time and count columns: fresh may be
+  at most 15% worse (slack for intentional re-runs after small
+  timing-model changes; genuine regressions blow well past it);
+* ``wall`` — host-dependent wall-clock columns: at most 4× worse, wide
+  enough for a noisy CI runner, narrow enough to catch the
+  order-of-magnitude slowdowns that matter.
 
-Checks are one-sided: a *faster* fresh run passes — improvements land
-by re-running ``python -m repro.bench.harness`` and committing the new
-artifacts.
+Every artifact gets the same rules. Non-numeric cells (``"-"``) are
+skipped; every boolean in the fresh table's ``meta`` must be true; an
+experiment whose gates are all ``wall`` reruns at its ``FAST_OVERRIDES``
+size and any other at full size, where a missing committed row fails;
+an artifact whose experiment declares no gates fails. A *faster* fresh
+run passes — improvements land by re-running
+``python -m repro.bench.harness`` and committing the new artifacts.
 """
 
 from __future__ import annotations
@@ -40,18 +40,11 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from repro.bench.harness import (
-    exp_e15_throughput,
-    exp_e16_scale,
-    exp_e17_hedging,
-    exp_e18_attribution,
-    FAST_OVERRIDES,
-)
+from repro.bench.harness import ALL_EXPERIMENTS, run_experiment
 
-#: worse-than-committed slack for deterministic simulated-time metrics
-SIM_TOLERANCE = 0.15
-#: worse-than-committed slack for host-dependent wall-clock metrics
-WALL_TOLERANCE = 4.0
+#: worse-than-committed slack per tolerance class: deterministic
+#: simulated-time metrics, host-dependent wall-clock metrics
+TOLERANCE = {"sim": 0.15, "wall": 4.0}
 
 
 class Gate:
@@ -61,30 +54,16 @@ class Gate:
         self.failures: list[str] = []
         self.checked = 0
 
-    def check(
-        self,
-        metric: str,
-        committed: float,
-        fresh: float,
-        tolerance: float,
-        *,
-        lower_is_better: bool = True,
-    ) -> None:
+    def check(self, metric: str, committed: float, fresh: float, tolerance: float) -> None:
         """Fail if ``fresh`` is worse than ``committed`` beyond slack.
 
         ``tolerance`` is relative: 0.15 allows fresh up to 1.15× the
-        committed value (lower-is-better) or down to 1/1.15× of it.
+        committed value. Every gated metric is lower-is-better.
         """
         self.checked += 1
-        if lower_is_better:
-            bound = committed * (1.0 + tolerance)
-            bad = fresh > bound
-        else:
-            bound = committed / (1.0 + tolerance)
-            bad = fresh < bound
         delta = (fresh - committed) / committed * 100.0 if committed else 0.0
         line = f"{metric}: committed={committed:g} fresh={fresh:g} ({delta:+.1f}%)"
-        if bad:
+        if fresh > committed * (1.0 + tolerance):
             self.failures.append(f"{line} exceeds tolerance {tolerance:g}")
             print(f"REGRESSION {self.failures[-1]}")
         else:
@@ -100,120 +79,48 @@ class Gate:
             print(f"REGRESSION {self.failures[-1]}")
 
 
-def _load(artifact_dir: Path, name: str) -> dict[str, Any]:
-    path = artifact_dir / name
-    if not path.is_file():
-        raise SystemExit(f"missing committed artifact {path}")
-    return json.loads(path.read_text())
+def _numeric(cell: Any) -> bool:
+    return isinstance(cell, (int, float)) and not isinstance(cell, bool)
 
 
-def check_e17(gate: Gate, artifact_dir: Path) -> None:
-    """E17: hedged-read tail gates, full-size rerun (sim-time, cheap)."""
-    committed = _load(artifact_dir, "BENCH_e17.json")
-    fresh = exp_e17_hedging()
-    old = {row[0]: row for row in committed["rows"]}
-    new = {row[0]: row for row in fresh["rows"]}
-    p99, msgs = 3, 4
-    for mode in ("hedged", "no-hedge", "no-health"):
-        gate.check(
-            f"E17 {mode} p99 (sim ms)", old[mode][p99], new[mode][p99], SIM_TOLERANCE
-        )
-    gate.check(
-        "E17 hedged msgs/lookup", old["hedged"][msgs], new["hedged"][msgs], SIM_TOLERANCE
-    )
-    gate.require(
-        "E17 meta.hedged_p99_2x",
-        fresh["meta"]["hedged_p99_2x"] is True,
-        f"(p99_improvement_x={fresh['meta']['p99_improvement_x']})",
-    )
-    gate.require(
-        "E17 meta.msgs_within_1p15",
-        fresh["meta"]["msgs_within_1p15"] is True,
-        f"(msg_ratio={fresh['meta']['msg_ratio']})",
-    )
+def gate_table(
+    gate: Gate, committed: dict[str, Any], fresh: dict[str, Any], gates: dict, *, full_size: bool
+) -> None:
+    """Hold a fresh table to a committed artifact under declared gates."""
+    name = committed["id"]
 
+    def keyed(table: dict[str, Any]) -> dict[tuple, list[Any]]:
+        index = [table["columns"].index(column) for column in gates["key"]]
+        return {tuple(row[i] for i in index): row for row in table["rows"]}
 
-def check_e18(gate: Gate, artifact_dir: Path) -> None:
-    """E18: attribution of the p99 tails, full-size rerun (sim-time)."""
-    committed = _load(artifact_dir, "BENCH_e18.json")
-    fresh = exp_e18_attribution()
-    old = {(row[0], row[1]): row for row in committed["rows"]}
-    new = {(row[0], row[1]): row for row in fresh["rows"]}
-    elapsed, coverage = 3, 8
-    for key in old:
+    new = keyed(fresh)
+    for key, old in keyed(committed).items():
+        label = " ".join([name, *map(str, key)])
         if key not in new:
-            gate.require(f"E18 row {key}", False, "(row missing from fresh run)")
+            if full_size:
+                gate.require(f"{label} row", False, "(row missing from fresh run)")
             continue
-        gate.check(
-            f"E18 {key[0]} {key[1]} elapsed (sim ms)",
-            old[key][elapsed],
-            new[key][elapsed],
-            SIM_TOLERANCE,
-        )
-        gate.require(
-            f"E18 {key[0]} {key[1]} coverage ~100%",
-            abs(new[key][coverage] - 100.0) <= 0.1,
-            f"(coverage={new[key][coverage]})",
-        )
-    gate.require(
-        "E18 meta.tail_is_waiting", fresh["meta"]["tail_is_waiting"] is True
-    )
-    gate.require(
-        "E18 meta.hedge_removes_slow_shard_tail",
-        fresh["meta"]["hedge_removes_slow_shard_tail"] is True,
-    )
+        for cls in ("sim", "wall"):
+            for column in gates[cls]:
+                was = old[committed["columns"].index(column)]
+                now = new[key][fresh["columns"].index(column)]
+                if _numeric(was) and _numeric(now):
+                    gate.check(f"{label} {column}", was, now, TOLERANCE[cls])
+    for claim, holds in fresh.get("meta", {}).items():
+        if isinstance(holds, bool):
+            gate.require(f"{name} meta.{claim}", holds)
 
 
-def check_e15(gate: Gate, artifact_dir: Path) -> None:
-    """E15: throughput floor, reduced rerun (wall-clock, wide slack)."""
-    committed = _load(artifact_dir, "BENCH_throughput.json")
-    fresh = exp_e15_throughput(**FAST_OVERRIDES["E15"])
-    us = 5
-    old = {(row[0], row[1]): row for row in committed["rows"]}
-    new = {(row[0], row[1]): row for row in fresh["rows"]}
-    for workload in ("rpc", "rpc_many n=64"):
-        key = (workload, "default")
-        gate.check(
-            f"E15 {workload}/default µs/msg",
-            old[key][us],
-            new[key][us],
-            WALL_TOLERANCE,
-        )
-
-
-def check_e16(gate: Gate, artifact_dir: Path) -> None:
-    """E16: scale flatness + structure, reduced rerun (wall-clock)."""
-    committed = _load(artifact_dir, "BENCH_scale.json")
-    fresh = exp_e16_scale(**FAST_OVERRIDES["E16"])
-    p50, msgs = 4, 6
-    old = {row[0]: row for row in committed["rows"]}
-    new = {row[0]: row for row in fresh["rows"]}
-    for devices in (1_000, 10_000):
-        gate.check(
-            f"E16 {devices} devices p50 lookup (µs wall)",
-            old[devices][p50],
-            new[devices][p50],
-            WALL_TOLERANCE,
-        )
-        gate.require(
-            f"E16 {devices} devices msgs/lookup == 2",
-            new[devices][msgs] == 2.0,
-            f"(got {new[devices][msgs]}; a lookup is one shard round trip)",
-        )
-    flat = new[10_000][p50] <= 2.0 * max(new[1_000][p50], 1e-9)
-    gate.require(
-        "E16 flatness (10k p50 within 2x of 1k p50)",
-        flat,
-        f"(1k={new[1_000][p50]}µs 10k={new[10_000][p50]}µs)",
-    )
-
-
-CHECKS = {
-    "E15": check_e15,
-    "E16": check_e16,
-    "E17": check_e17,
-    "E18": check_e18,
-}
+def gate_artifact(gate: Gate, committed: dict[str, Any]) -> None:
+    """Rerun the experiment behind one committed artifact and gate it."""
+    name = committed["id"]
+    gates = getattr(ALL_EXPERIMENTS.get(name), "gates", None)
+    if not gates:
+        gate.require(f"{name} gates", False, "(its experiment declares none)")
+        return
+    full_size = bool(gates["sim"]) or not gates["wall"]
+    fresh = run_experiment(name, fast=not full_size)
+    gate_table(gate, committed, fresh, gates, full_size=full_size)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -227,15 +134,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="append",
-        choices=sorted(CHECKS),
-        help="run only this check (repeatable; default: all)",
+        metavar="ID",
+        help="gate only the artifact of this experiment id "
+        "(repeatable; default: every artifact)",
     )
     args = parser.parse_args(argv)
-    artifact_dir = Path(args.artifact_dir)
+    paths = sorted(Path(args.artifact_dir).glob("BENCH_*.json"))
+    artifacts = {doc["id"]: doc for doc in (json.loads(p.read_text()) for p in paths)}
+    if not artifacts:
+        raise SystemExit(f"no BENCH_*.json artifacts in {args.artifact_dir}")
+    for name in args.check or ():
+        if name not in artifacts:
+            parser.error(f"no committed artifact for {name} (have: {', '.join(artifacts)})")
     gate = Gate()
-    for name in args.check or sorted(CHECKS):
+    for name in args.check or artifacts:
         print(f"-- {name}")
-        CHECKS[name](gate, artifact_dir)
+        gate_artifact(gate, artifacts[name])
     print(
         f"\n{gate.checked} checks, {len(gate.failures)} regressions"
         + ("" if not gate.failures else ":")
