@@ -162,7 +162,7 @@ def run_interleaved_syd(
     *is* the write, and locks serialize it — so concurrent requests
     simply contend and the losers land on other slots or go tentative.
     """
-    from repro.calendar.model import MeetingStatus
+    from repro.calendar.model import LIVE
 
     report = RaceReport()
     meeting_ids = []
@@ -171,7 +171,7 @@ def run_interleaved_syd(
             m = app.manager(initiator).schedule_meeting(
                 f"syd-{i}", participants, day_from=day_from, day_to=day_to
             )
-            if m.status in (MeetingStatus.CONFIRMED, MeetingStatus.TENTATIVE):
+            if m.status in LIVE:
                 report.believed_successes += 1
                 meeting_ids.append(m.meeting_id)
         except SchedulingError:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.calendar.model import MeetingStatus
+from repro.calendar.model import LIVE, MeetingStatus
 from repro.datastore.predicate import where
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,7 +81,7 @@ def check_slot_meeting_consistency(app: "SyDCalendarApp") -> list[Violation]:
                 )
                 continue
             status = cal.meeting(mid).status
-            if status not in (MeetingStatus.CONFIRMED, MeetingStatus.TENTATIVE):
+            if status not in LIVE:
                 out.append(
                     Violation(
                         "slot-meeting", user, row["slot_id"],

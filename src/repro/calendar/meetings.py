@@ -30,6 +30,7 @@ import functools
 from typing import Any, Sequence
 
 from repro.calendar.model import (
+    LIVE,
     Meeting,
     MeetingStatus,
     OrGroup,
@@ -294,18 +295,14 @@ class MeetingManager:
             missing=missing,
             created_at=self.node.transport.clock.now(),
         )
-        self._distribute(meeting)
+        self._distribute(meeting)  # a fresh meeting id: the write always applies
         self._create_links(meeting)
-        title, at = meeting.title, f"day {slot['day']} hour {slot['hour']}"
+        at = f"day {slot['day']} hour {slot['hour']}"
         if tentative:
-            subject = f"Tentative meeting: {title}"
-            body = f"{title} held at {at}; waiting on {missing}"
+            subject, body = "Tentative meeting", f"held at {at}; waiting on {missing}"
         else:
-            subject = f"Meeting confirmed: {title}"
-            body = f"{title} at {at} (id {meeting.meeting_id})"
-        self.mail.broadcast(
-            self.user, committed, subject, body, meeting_id=meeting.meeting_id
-        )
+            subject, body = "Meeting confirmed", f"at {at} (id {meeting.meeting_id})"
+        self._announce(meeting, subject, f"{meeting.title} {body}")
         return meeting, []
 
     # ------------------------------------------------------------------ negotiation
@@ -463,31 +460,49 @@ class MeetingManager:
 
     # ------------------------------------------------------------------ copies
 
-    def _push(self, meeting: Meeting, method: str, *args: Any) -> None:
-        """Call ``method`` at every other participant that may hold a copy
-        of ``meeting``, skipping the unreachable.
+    def _push(self, meeting: Meeting, *calls: tuple) -> int:
+        """Make each ``(method, *args)`` of ``calls`` at every other user
+        that may hold a copy of ``meeting``, skipping a user from their
+        first unreachable call on; returns the users all calls reached.
 
         Participants who already dropped or are still missing get the
         update too, so their stale CONFIRMED copies degrade correctly.
         """
+        reached = 0
         for user in _dedup([*meeting.committed, *meeting.participants]):
             if user == self.user:
                 continue
             try:
-                self.node.engine.execute(user, CAL_SERVICE, method, *args)
+                for method, *args in calls:
+                    self.node.engine.execute(user, CAL_SERVICE, method, *args)
             except NetworkError:
                 continue
+            reached += 1
+        return reached
 
-    def _distribute(self, meeting: Meeting) -> None:
+    def _distribute(self, meeting: Meeting) -> bool:
         """Store the meeting row here and at every participant (each keeps
-        *only their own* copy — §6's storage claim)."""
-        self.service.calendar.put_meeting(meeting)
-        self._push(meeting, "store_meeting", meeting.to_row())
+        *only their own* copy — §6's storage claim). False, with nothing
+        pushed, when the transition table refuses the local write."""
+        if not self.service.calendar.put_meeting(meeting):
+            return False
+        self._push(meeting, ("store_meeting", meeting.to_row()))
+        return True
 
-    def _broadcast_status(self, meeting: Meeting, status: MeetingStatus) -> None:
+    def _broadcast_status(self, meeting: Meeting, status: MeetingStatus) -> bool:
+        """Set ``status`` here and push it, as :meth:`_distribute`."""
         meeting.status = status
-        self.service.calendar.put_meeting(meeting)
-        self._push(meeting, "set_meeting_status", meeting.meeting_id, status.value)
+        if not self.service.calendar.put_meeting(meeting):
+            return False
+        self._push(meeting, ("set_meeting_status", meeting.meeting_id, status.value))
+        return True
+
+    def _announce(self, meeting: Meeting, subject: str, body: str) -> None:
+        """E-mail ``<subject>: <title>`` to the meeting's committed users."""
+        self.mail.broadcast(
+            self.user, meeting.committed, f"{subject}: {meeting.title}", body,
+            meeting_id=meeting.meeting_id,
+        )
 
     def _release(
         self, meeting: Meeting, slot: dict[str, int], skip: str | None = None
@@ -508,14 +523,17 @@ class MeetingManager:
             except NetworkError:
                 continue
 
-    def _degrade(self, meeting: Meeting, user: str) -> None:
+    def _degrade(self, meeting: Meeting, user: str) -> bool:
         """``user`` left ``meeting``: it becomes tentative and a tentative
-        link queued at ``user`` awaits their return (§5)."""
+        link queued at ``user`` awaits their return (§5). False when the
+        meeting is no longer live enough to degrade (cancelled or bumped)."""
         meeting.committed = [u for u in meeting.committed if u != user]
         meeting.missing = _dedup([*meeting.missing, user])
         meeting.status = MeetingStatus.TENTATIVE
-        self._distribute(meeting)
+        if not self._distribute(meeting):
+            return False
         self._back_link(user, meeting, "tentative-back")
+        return True
 
     # ------------------------------------------------------------------ cancel (§4.4)
 
@@ -532,7 +550,7 @@ class MeetingManager:
             raise NotInitiatorError(
                 f"{self.user} did not initiate {meeting_id} (ask {meeting.initiator})"
             )
-        if meeting.status in (MeetingStatus.CANCELLED,):
+        if meeting.status is MeetingStatus.CANCELLED:
             return meeting
 
         # 1–4: delete the forward link, cascading away the back links.
@@ -540,12 +558,9 @@ class MeetingManager:
         self._drop_links(meeting_id)
         self._broadcast_status(meeting, MeetingStatus.CANCELLED)
         self._release(meeting, meeting.slot)
-        self.mail.broadcast(
-            self.user,
-            meeting.committed,
-            f"Meeting cancelled: {meeting.title}",
+        self._announce(
+            meeting, "Meeting cancelled",
             f"{meeting.title} (id {meeting_id}) was cancelled by {self.user}",
-            meeting_id=meeting_id,
         )
         return self.service.calendar.meeting(meeting_id)
 
@@ -582,12 +597,8 @@ class MeetingManager:
             except NetworkError:
                 pass
         self._create_links(meeting)
-        self.mail.broadcast(
-            self.user,
-            meeting.committed,
-            f"Meeting confirmed: {meeting.title}",
-            f"Tentative meeting {meeting_id} is now confirmed",
-            meeting_id=meeting_id,
+        self._announce(
+            meeting, "Meeting confirmed", f"Tentative meeting {meeting_id} is now confirmed"
         )
         self.promotions += 1
         return True
@@ -613,16 +624,14 @@ class MeetingManager:
             return  # already handled
 
         # Tear down links and release the slots that are still ours; the
-        # slot at the bumping user now belongs to the bumping meeting.
+        # slot at the bumping user now belongs to the bumping meeting. A
+        # cancelled meeting refuses the mark and is not rescheduled.
         self._drop_links(meeting_id)
-        self._broadcast_status(meeting, MeetingStatus.BUMPED)
+        if not self._broadcast_status(meeting, MeetingStatus.BUMPED):
+            return
         self._release(meeting, meeting.slot, skip=payload.get("user"))
-        self.mail.broadcast(
-            self.user,
-            meeting.committed,
-            f"Meeting bumped: {meeting.title}",
-            f"{meeting.title} lost its slot to a higher-priority meeting",
-            meeting_id=meeting_id,
+        self._announce(
+            meeting, "Meeting bumped", f"{meeting.title} lost its slot to a higher-priority meeting"
         )
         try:
             replacement = self.schedule_meeting(
@@ -634,7 +643,6 @@ class MeetingManager:
                 or_groups=meeting.or_groups,
                 supervisors=meeting.supervisors,
                 priority=meeting.priority,
-                allow_tentative=True,
             )
             self.reschedule_map[meeting_id] = replacement.meeting_id
             self.reschedules += 1
@@ -675,7 +683,7 @@ class MeetingManager:
             raise NotInitiatorError(
                 f"{self.user} did not initiate {meeting_id}; use request_move"
             )
-        if meeting.status not in (MeetingStatus.CONFIRMED, MeetingStatus.TENTATIVE):
+        if meeting.status not in LIVE:
             return None
 
         if new_slot is None:
@@ -712,12 +720,8 @@ class MeetingManager:
         meeting.status = MeetingStatus.CONFIRMED
         self._distribute(meeting)
         self._create_links(meeting)
-        self.mail.broadcast(
-            self.user,
-            meeting.committed,
-            f"Meeting moved: {meeting.title}",
-            f"now at day {new_slot['day']} hour {new_slot['hour']}",
-            meeting_id=meeting_id,
+        self._announce(
+            meeting, "Meeting moved", f"now at day {new_slot['day']} hour {new_slot['hour']}"
         )
         return meeting
 
@@ -810,13 +814,12 @@ class MeetingManager:
         if user not in meeting.committed:
             return {"granted": True, "reason": "not committed"}
 
-        in_or_group = next(
-            (g for g in meeting.or_groups if user in g.members), None
-        )
+        in_or_group = next((g for g in meeting.or_groups if user in g.members), None)
         if in_or_group is None:
             # Must-attendee (or supervisor) leaving: grant, but the
             # meeting degrades to tentative and waits for them.
-            self._degrade(meeting, user)
+            if not self._degrade(meeting, user):
+                return {"granted": True, "reason": "meeting not live"}
             self.mail.send(
                 self.user,
                 user,
@@ -825,6 +828,10 @@ class MeetingManager:
                 meeting_id=meeting_id,
             )
             return {"granted": True, "reason": "meeting now tentative"}
+        if meeting.status not in LIVE:
+            # An or-group drop may negotiate a replacement, which would
+            # reserve a slot before any write the table could refuse.
+            return {"granted": True, "reason": "meeting not live"}
 
         committed_in_group = [
             m for m in in_or_group.members if m in meeting.committed and m != user
@@ -837,14 +844,9 @@ class MeetingManager:
         # Quorum would break: seek one replacement commitment (§5: "only
         # if an additional commitment is found, is the cancellation
         # request granted").
-        uncommitted = [
-            m for m in in_or_group.members if m not in meeting.committed
-        ]
-        status = (
-            SlotStatus.RESERVED
-            if meeting.status is MeetingStatus.CONFIRMED
-            else SlotStatus.HELD
-        )
+        uncommitted = [m for m in in_or_group.members if m not in meeting.committed]
+        confirmed = meeting.status is MeetingStatus.CONFIRMED
+        status = SlotStatus.RESERVED if confirmed else SlotStatus.HELD
         result = self._negotiate(
             meeting, meeting.slot, status,
             self._groups(meeting, meeting.slot, quorum=(uncommitted, 1)),
@@ -886,25 +888,20 @@ class MeetingManager:
             "adopted": 0, "released": 0, "pruned": 0, "bumped": 0,
             "repushed": 0, "ghosts": 0,
         }
-        live = (MeetingStatus.CONFIRMED, MeetingStatus.TENTATIVE)
 
         # 0. Ghost reservations: a change leg that applied before we
         #    crashed may have reserved a peer's slot for a meeting we
         #    never recorded — broadcast the ids of our meetings that *are*
         #    live so peers release the rest of our ``mtg-<user>-``
-        #    namespace (release_ghost_slots). Stale *locks* are no longer
-        #    swept from here: the blunt ``release_txn_locks`` broadcast
-        #    was decision-blind (it released marks of transactions whose
-        #    outcome it never checked). Leftover marks now terminate via
-        #    the decision-correct protocol — coordinator crash recovery
-        #    replays the durable intent log, and each participant's lease
-        #    sweep (``terminate_stale_marks``) queries ``txn_status``
-        #    before releasing.
+        #    namespace (release_ghost_slots). Leftover *locks* are not
+        #    swept here: coordinator crash recovery and each participant's
+        #    lease sweep (``terminate_stale_marks``) release them only
+        #    after checking the transaction's decision.
         if not self.node.coordinator.busy:
             live_ids = [
                 m.meeting_id
                 for m in self.service.calendar.meetings()
-                if m.initiator == self.user and m.status in live
+                if m.initiator == self.user and m.status in LIVE
             ]
             try:
                 roster = self.node.directory.list_users()
@@ -932,10 +929,11 @@ class MeetingManager:
             if authoritative is None:
                 continue  # initiator unreachable; try again next reconcile
             if authoritative.to_row() != meeting.to_row():
-                self.service.calendar.put_meeting(authoritative)
-                counts["adopted"] += 1
-            counts["released"] += self._align_slots(authoritative, live)
-            if authoritative.status not in live:
+                if self.service.calendar.put_meeting(authoritative):
+                    counts["adopted"] += 1
+                    meeting = authoritative  # else the table kept our dead copy
+            counts["released"] += self._align_slots(meeting)
+            if meeting.status not in LIVE:
                 counts["pruned"] += self.node.links.delete_links_by_context(
                     "meeting_id", meeting.meeting_id
                 )
@@ -958,7 +956,7 @@ class MeetingManager:
                 # We missed the meeting row but legitimately hold the slot.
                 self.service.calendar.put_meeting(authoritative)
                 counts["adopted"] += 1
-                counts["released"] += self._align_slots(authoritative, live)
+                counts["released"] += self._align_slots(authoritative)
             else:
                 entity = {"day": row["day"], "hour": row["hour"]}
                 self.service.release_slot(entity, mid)
@@ -970,23 +968,13 @@ class MeetingManager:
         #    re-push the terminal status and slot releases (idempotent;
         #    release_slot is a no-op unless the slot still names us).
         for meeting in list(self.service.calendar.meetings()):
-            if meeting.initiator != self.user or meeting.status in live:
+            if meeting.initiator != self.user or meeting.status in LIVE:
                 continue
-            for user in _dedup([*meeting.committed, *meeting.participants]):
-                if user == self.user:
-                    continue
-                try:
-                    self.node.engine.execute(
-                        user, CAL_SERVICE, "set_meeting_status",
-                        meeting.meeting_id, meeting.status.value,
-                    )
-                    self.node.engine.execute(
-                        user, CAL_SERVICE, "release_slot",
-                        meeting.slot, meeting.meeting_id,
-                    )
-                    counts["repushed"] += 1
-                except NetworkError:
-                    continue
+            counts["repushed"] += self._push(
+                meeting,
+                ("set_meeting_status", meeting.meeting_id, meeting.status.value),
+                ("release_slot", meeting.slot, meeting.meeting_id),
+            )
 
         #    Live ones: a committed participant may have missed the
         #    meeting-copy distribution (we crashed between the commit and
@@ -996,7 +984,7 @@ class MeetingManager:
         #    longer references the meeting lost it to a higher-priority
         #    bump while we were unreachable.
         for meeting in list(self.service.calendar.meetings()):
-            if meeting.initiator != self.user or meeting.status not in live:
+            if meeting.initiator != self.user or meeting.status not in LIVE:
                 continue
             for user in meeting.committed:
                 if user == self.user:
@@ -1044,13 +1032,11 @@ class MeetingManager:
             return ghost
         return Meeting.from_row(row)
 
-    def _align_slots(self, meeting: Meeting, live: tuple) -> int:
+    def _align_slots(self, meeting: Meeting) -> int:
         """Release every local slot held for ``meeting`` that the
         authoritative copy no longer justifies; returns releases."""
         released = 0
-        keep_slot = (
-            meeting.status in live and self.user in meeting.committed
-        )
+        keep_slot = meeting.status in LIVE and self.user in meeting.committed
         for slot_row in self.service.calendar.slots_of_meeting(meeting.meeting_id):
             entity = {"day": slot_row["day"], "hour": slot_row["hour"]}
             if keep_slot and entity == meeting.slot:
@@ -1082,13 +1068,10 @@ class MeetingManager:
         supervisor = payload.get("user")
         if supervisor not in meeting.supervisors or supervisor not in meeting.committed:
             return
-        self._degrade(meeting, supervisor)
-        self.mail.broadcast(
-            self.user,
-            meeting.committed,
-            f"Meeting tentative: {meeting.title}",
-            f"supervisor {supervisor} changed their schedule",
-            meeting_id=meeting_id,
+        if not self._degrade(meeting, supervisor):
+            return
+        self._announce(
+            meeting, "Meeting tentative", f"supervisor {supervisor} changed their schedule"
         )
 
 

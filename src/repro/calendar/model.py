@@ -15,7 +15,9 @@ Slot statuses:
 
 Meeting statuses mirror the paper's lifecycle: tentative meetings await
 missing participants; cancellation and priority bumps trigger automatic
-promotion / rescheduling.
+promotion / rescheduling. Which status a stored copy may move to is
+declared once, in :data:`TRANSITIONS`; every status write checks it in
+:class:`~repro.calendar.storage.CalendarStore`.
 """
 
 from __future__ import annotations
@@ -39,6 +41,22 @@ class MeetingStatus(str, Enum):
     CONFIRMED = "confirmed"
     CANCELLED = "cancelled"
     BUMPED = "bumped"
+
+
+#: The statuses whose meeting holds its slot at its committed users.
+LIVE = (MeetingStatus.CONFIRMED, MeetingStatus.TENTATIVE)
+
+#: stored status -> the statuses a write may put over it (§4.4: cancel is
+#: final, so CANCELLED is absorbing). BUMPED is not terminal: a bump is
+#: a lost slot, and only a write that reserved a slot in the same call
+#: may revive it (``move_meeting``'s CONFIRMED). TENTATIVE reserves
+#: nothing, so it never follows BUMPED.
+TRANSITIONS = {
+    MeetingStatus.TENTATIVE: frozenset(MeetingStatus),
+    MeetingStatus.CONFIRMED: frozenset(MeetingStatus),
+    MeetingStatus.BUMPED: frozenset(MeetingStatus) - {MeetingStatus.TENTATIVE},
+    MeetingStatus.CANCELLED: frozenset({MeetingStatus.CANCELLED}),
+}
 
 
 def slot_id(day: int, hour: int) -> str:

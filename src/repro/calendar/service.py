@@ -93,16 +93,17 @@ class CalendarCopy(SyDDeviceObject):
 
     @exported
     def store_meeting(self, row: dict[str, Any]) -> None:
-        """Record (or update) this user's copy of a meeting."""
+        """Record (or update) this user's copy of a meeting, unless the
+        transition table refuses it (a late push over a cancelled copy)."""
         self.calendar.put_meeting(Meeting.from_row(row))
 
     @exported
     def set_meeting_status(self, meeting_id: str, status: str) -> bool:
-        """Update the local meeting copy's status (False when absent)."""
+        """Update the local meeting copy's status (False when absent or
+        when the transition table refuses it)."""
         if not self.calendar.has_meeting(meeting_id):
             return False
-        self.calendar.set_meeting_status(meeting_id, MeetingStatus(status))
-        return True
+        return self.calendar.set_meeting_status(meeting_id, MeetingStatus(status))
 
     @exported
     def release_slot(self, entity: dict[str, int], meeting_id: str) -> bool:
@@ -136,7 +137,7 @@ class CalendarService(CalendarCopy):
         self.manager: MeetingManager | None = None
         # Bump notifications deferred until the negotiation's unlock phase
         # (notifying mid-negotiation would nest negotiations under held locks).
-        self._pending_bumps: dict[str, list[tuple[str, str, dict]]] = {}
+        self._pending_bumps: dict[str, list[tuple[str, dict]]] = {}
         #: change applications per txn_id — the decision_agreement
         #: checker's ground truth (never cleared: a restart must not hide
         #: a pre-crash application from the checker).
@@ -218,9 +219,7 @@ class CalendarService(CalendarCopy):
         new_meeting = change["meeting_id"]
         if old_meeting and old_meeting != new_meeting:
             # Bump: defer the notification until unlock.
-            self._pending_bumps.setdefault(txn_id, []).append(
-                (old_meeting, self.user, entity)
-            )
+            self._pending_bumps.setdefault(txn_id, []).append((old_meeting, entity))
             if self.calendar.has_meeting(old_meeting):
                 self.calendar.set_meeting_status(old_meeting, MeetingStatus.BUMPED)
         self.applied_changes[txn_id] += 1
@@ -240,7 +239,7 @@ class CalendarService(CalendarCopy):
         if self.locks.holder(sid) == txn_id:
             self.locks.unlock(sid, txn_id)
             released = True
-        for old_meeting, _user, slot_entity in self._pending_bumps.pop(txn_id, []):
+        for old_meeting, slot_entity in self._pending_bumps.pop(txn_id, []):
             self._notify_bumped(old_meeting, slot_entity)
         return released
 
@@ -255,7 +254,7 @@ class CalendarService(CalendarCopy):
         """
         released = self.locks.release_prefix(owner_prefix)
         for txn_id in [t for t in self._pending_bumps if t.startswith(owner_prefix)]:
-            for old_meeting, _user, slot_entity in self._pending_bumps.pop(txn_id):
+            for old_meeting, slot_entity in self._pending_bumps.pop(txn_id):
                 self._notify_bumped(old_meeting, slot_entity)
         return released
 
@@ -341,7 +340,7 @@ class CalendarService(CalendarCopy):
                 self.locks.force_release(key)
                 self.terminated += 1
                 counts["released"] += 1
-                for old_meeting, _user, slot_entity in self._pending_bumps.pop(owner, []):
+                for old_meeting, slot_entity in self._pending_bumps.pop(owner, []):
                     self._notify_bumped(old_meeting, slot_entity)
             span.set(**counts)
         return counts
@@ -511,11 +510,9 @@ class CalendarService(CalendarCopy):
 
     def _notify_bumped(self, meeting_id: str, entity: dict[str, int]) -> None:
         """Tell the bumped meeting's initiator it lost this slot."""
-        initiator = None
-        if self.calendar.has_meeting(meeting_id):
-            initiator = self.calendar.meeting(meeting_id).initiator
-        if initiator is None:
+        if not self.calendar.has_meeting(meeting_id):
             return
+        initiator = self.calendar.meeting(meeting_id).initiator
         payload = {"user": self.user, "entity": entity}
         try:
             if initiator == self.user:

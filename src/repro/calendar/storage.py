@@ -16,6 +16,7 @@ from repro.datastore.predicate import where
 from repro.datastore.schema import Column, ColumnType, schema
 from repro.datastore.store import DataStore
 from repro.calendar.model import (
+    TRANSITIONS,
     Meeting,
     MeetingStatus,
     SlotStatus,
@@ -174,9 +175,14 @@ class CalendarStore:
 
     # -- meetings ------------------------------------------------------------------
 
-    def put_meeting(self, meeting: Meeting) -> None:
-        """Insert or overwrite this user's copy of a meeting."""
+    def put_meeting(self, meeting: Meeting) -> bool:
+        """Insert or overwrite this user's copy of a meeting; False, with
+        nothing written, when ``TRANSITIONS`` refuses the stored status."""
+        row = self.store.get(MEETINGS_TABLE, meeting.meeting_id)
+        if row is not None and meeting.status not in TRANSITIONS[MeetingStatus(row["status"])]:
+            return False
         self.store.put(MEETINGS_TABLE, meeting.to_row())
+        return True
 
     def meeting(self, meeting_id: str) -> Meeting:
         row = self.store.get(MEETINGS_TABLE, meeting_id)
@@ -191,12 +197,14 @@ class CalendarStore:
         pred = where("status") == status.value if status else None
         return [Meeting.from_row(r) for r in self.store.select(MEETINGS_TABLE, pred)]
 
-    def set_meeting_status(self, meeting_id: str, status: MeetingStatus) -> None:
-        n = self.store.update(
+    def set_meeting_status(self, meeting_id: str, status: MeetingStatus) -> bool:
+        """Set a stored copy's status, or False as :meth:`put_meeting`."""
+        if status not in TRANSITIONS[self.meeting(meeting_id).status]:
+            return False
+        self.store.update(
             MEETINGS_TABLE, where("meeting_id") == meeting_id, {"status": status.value}
         )
-        if n == 0:
-            raise CalendarError(f"no meeting {meeting_id!r} in this calendar")
+        return True
 
     def storage_bytes(self) -> int:
         """Store footprint (E8 metric)."""

@@ -56,6 +56,8 @@ from repro.datastore.wal import ChangeJournal, replay
 from repro.util.errors import ReproError
 from repro.world import SyDWorld
 
+# Declared here, not imported from ``calendar.model``: the oracle stays
+# independent of the status policy it checks.
 LIVE = (MeetingStatus.CONFIRMED, MeetingStatus.TENTATIVE)
 
 

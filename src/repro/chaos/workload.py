@@ -15,10 +15,8 @@ import random
 from typing import Callable
 
 from repro.calendar.app import SyDCalendarApp
-from repro.calendar.model import MeetingStatus
+from repro.calendar.model import LIVE, MeetingStatus
 from repro.util.errors import ReproError
-
-LIVE = (MeetingStatus.CONFIRMED, MeetingStatus.TENTATIVE)
 
 ACTIONS = (
     ("schedule", 5),
@@ -121,15 +119,15 @@ class Workload:
         meeting = self.app.manager(user).schedule_meeting(f"m{index}", participants)
         return f"{meeting.meeting_id} {meeting.status.value}"
 
-    def _own_live_meetings(self, user: str) -> list:
+    def _own_meetings(self, user: str, statuses=LIVE) -> list:
         return [
             m
             for m in self.app.calendar(user).meetings()
-            if m.initiator == user and m.status in LIVE
+            if m.initiator == user and m.status in statuses
         ]
 
     def _cancel(self, user: str) -> str:
-        own = self._own_live_meetings(user)
+        own = self._own_meetings(user)
         if not own:
             return "noop"
         meeting = self.rng.choice(own)
@@ -154,10 +152,7 @@ class Workload:
         return f"d{entity['day']}h{entity['hour']}"
 
     def _move(self, user: str) -> str:
-        own = [
-            m for m in self._own_live_meetings(user)
-            if m.status is MeetingStatus.CONFIRMED
-        ]
+        own = self._own_meetings(user, (MeetingStatus.CONFIRMED,))
         if not own:
             return "noop"
         meeting = self.rng.choice(own)
@@ -165,10 +160,7 @@ class Workload:
         return f"{meeting.meeting_id} {'moved' if moved else 'unmoved'}"
 
     def _confirm(self, user: str) -> str:
-        own = [
-            m for m in self._own_live_meetings(user)
-            if m.status is MeetingStatus.TENTATIVE
-        ]
+        own = self._own_meetings(user, (MeetingStatus.TENTATIVE,))
         if not own:
             return "noop"
         meeting = self.rng.choice(own)
