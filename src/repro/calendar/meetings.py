@@ -38,7 +38,8 @@ from repro.calendar.model import (
 )
 from repro.calendar.notifications import MailSystem
 from repro.calendar.scheduler import candidate_slots
-from repro.calendar.service import CalendarService
+from repro.calendar.service import CAL_SERVICE, CalendarService
+from repro.kernel.links import LINKS_SERVICE
 from repro.kernel.node import SyDNode
 from repro.txn.coordinator import (
     AND,
@@ -56,8 +57,6 @@ from repro.util.errors import (
     SchedulingError,
 )
 from repro.util.idgen import IdGenerator
-
-CAL_SERVICE = "calendar"
 
 
 def _traced(name: str, key: str | None = None):
@@ -378,15 +377,8 @@ class MeetingManager:
         except ReproError:
             if not compensate:
                 raise
-            try:
-                self.service.release_slot(slot, mid)
-            except ReproError:
-                pass
-            for user in _dedup([t.user for targets, _c in groups for t in targets]):
-                try:
-                    self.node.engine.execute(user, CAL_SERVICE, "release_slot", slot, mid)
-                except NetworkError:
-                    continue
+            users = _dedup([self.user, *(t.user for targets, _c in groups for t in targets)])
+            self.service.fan_out(users, ("release_slot", slot, mid))
             raise
 
     # ------------------------------------------------------------------ links
@@ -446,10 +438,7 @@ class MeetingManager:
             priority=meeting.priority,
             context={"meeting_id": mid, "cascade_id": mid, "role": role},
         )
-        try:
-            self.node.engine.execute(user, "_syd_links", "create_link_row", row)
-        except NetworkError:
-            pass
+        self.service.fan_out([user], ("create_link_row", row), service=LINKS_SERVICE)
 
     def _drop_links(self, meeting_id: str) -> None:
         """Delete this initiator's links of ``meeting_id``; the cascade
@@ -461,24 +450,14 @@ class MeetingManager:
     # ------------------------------------------------------------------ copies
 
     def _push(self, meeting: Meeting, *calls: tuple) -> int:
-        """Make each ``(method, *args)`` of ``calls`` at every other user
-        that may hold a copy of ``meeting``, skipping a user from their
-        first unreachable call on; returns the users all calls reached.
+        """Fan ``calls`` out to every other user that may hold a copy of
+        ``meeting``; returns the users all calls reached.
 
         Participants who already dropped or are still missing get the
         update too, so their stale CONFIRMED copies degrade correctly.
         """
-        reached = 0
-        for user in _dedup([*meeting.committed, *meeting.participants]):
-            if user == self.user:
-                continue
-            try:
-                for method, *args in calls:
-                    self.node.engine.execute(user, CAL_SERVICE, method, *args)
-            except NetworkError:
-                continue
-            reached += 1
-        return reached
+        users = _dedup([*meeting.committed, *meeting.participants])
+        return len(self.service.fan_out([u for u in users if u != self.user], *calls))
 
     def _distribute(self, meeting: Meeting) -> bool:
         """Store the meeting row here and at every participant (each keeps
@@ -510,18 +489,10 @@ class MeetingManager:
         """Free ``slot`` for ``meeting`` at every committed user but
         ``skip``. Releases fire availability triggers, which is what
         converts *other* tentative meetings to permanent automatically."""
-        for user in meeting.committed:
-            if user == skip:
-                continue
-            try:
-                if user == self.user:
-                    self.service.release_slot(slot, meeting.meeting_id)
-                else:
-                    self.node.engine.execute(
-                        user, CAL_SERVICE, "release_slot", slot, meeting.meeting_id
-                    )
-            except NetworkError:
-                continue
+        self.service.fan_out(
+            [u for u in meeting.committed if u != skip],
+            ("release_slot", slot, meeting.meeting_id),
+        )
 
     def _degrade(self, meeting: Meeting, user: str) -> bool:
         """``user`` left ``meeting``: it becomes tentative and a tentative
@@ -589,13 +560,10 @@ class MeetingManager:
         self._distribute(meeting)
         # Upgrade the link structure: retire tentative/subscription back
         # links, install proper negotiation back links.
-        for user in newly_joined:
-            try:
-                self.node.engine.execute(
-                    user, "_syd_links", "delete_links_by_context", "meeting_id", meeting_id
-                )
-            except NetworkError:
-                pass
+        self.service.fan_out(
+            newly_joined, ("delete_links_by_context", "meeting_id", meeting_id),
+            service=LINKS_SERVICE,
+        )
         self._create_links(meeting)
         self._announce(
             meeting, "Meeting confirmed", f"Tentative meeting {meeting_id} is now confirmed"
@@ -907,18 +875,11 @@ class MeetingManager:
                 roster = self.node.directory.list_users()
             except NetworkError:
                 roster = []  # directory unreachable; retried next reconcile
-            for user in roster:
-                if user == self.user:
-                    continue
-                try:
-                    counts["ghosts"] += int(
-                        self.node.engine.execute(
-                            user, CAL_SERVICE, "release_ghost_slots",
-                            f"mtg-{self.user}-", live_ids,
-                        )
-                    )
-                except NetworkError:
-                    continue
+            released = self.service.fan_out(
+                [u for u in roster if u != self.user],
+                ("release_ghost_slots", f"mtg-{self.user}-", live_ids),
+            )
+            counts["ghosts"] += sum(released.values())
 
         # 1. Meetings we hold a copy of but did not initiate: adopt the
         #    initiator's authoritative row.
@@ -982,7 +943,9 @@ class MeetingManager:
         #    retry budget) — re-push our authoritative row where the copy
         #    is missing or stale. Separately, a participant whose slot no
         #    longer references the meeting lost it to a higher-priority
-        #    bump while we were unreachable.
+        #    bump while we were unreachable. This audit keeps its own loop
+        #    rather than a fan-out: it stops at the first bumped
+        #    participant, whose bump path rebuilds the meeting.
         for meeting in list(self.service.calendar.meetings()):
             if meeting.initiator != self.user or meeting.status not in LIVE:
                 continue
