@@ -141,3 +141,17 @@ def test_drop_request_does_not_revive_a_bumped_meeting(app):
     verdict = app.manager("andy").handle_drop_request(low.meeting_id, "phil")
     assert verdict["granted"] is True
     assert app.calendar("andy").meeting(low.meeting_id).status is S.BUMPED
+
+
+def test_taking_a_slot_of_a_cancelled_meeting_sends_no_bump_notice(app, cancelled):
+    # andy's release of the cancelled meeting was lost: the slot still
+    # names it, so a higher-priority negotiation takes it from there.
+    app.service("andy").direct_write_slot(cancelled.slot, cancelled.meeting_id)
+    notices = []
+    app.node("phil").events.on_local("calendar.meeting_bumped", lambda t, p: notices.append(p))
+    app.manager("suzy").schedule_meeting(
+        "high", ["andy"], priority=5, preferred_slot=cancelled.slot
+    )
+    assert app.calendar("andy").slot_of(cancelled.slot)["meeting_id"] != cancelled.meeting_id
+    assert notices == []
+    assert app.calendar("andy").meeting(cancelled.meeting_id).status is S.CANCELLED
