@@ -59,11 +59,6 @@ class RetryPolicy:
             delay *= 1.0 + self.jitter * (2.0 * self.rng.random() - 1.0)
         return delay
 
-    def pause(self, attempt: int) -> None:
-        """Sleep out the backoff before retry number ``attempt``."""
-        if self.sleep is not None:
-            self.sleep(self.backoff(attempt))
-
     def pause_for(self, delay: float) -> None:
         """Sleep out a pre-computed backoff (keeps the jitter draw single)."""
         if self.sleep is not None:

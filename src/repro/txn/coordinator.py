@@ -502,8 +502,10 @@ class NegotiationCoordinator:
             if not crashed:
                 # Step 5: Unlock B and C; Unlock A — on every path, one
                 # batch. Unlock is best effort: a participant that
-                # vanished after locking drops its locks at reconnect
-                # (release_all), so per-leg failures are ignored. Targets
+                # vanished after locking loses its lock table when it
+                # restarts (``LockManager.clear``), and one that stayed up
+                # terminates the stale mark by lease, so per-leg failures
+                # are ignored. Targets
                 # whose *mark* leg failed with a network error ride along:
                 # their lock may have landed with only the reply lost, and
                 # unmark is owner-checked so the compensation is a no-op
@@ -749,6 +751,7 @@ class NegotiationCoordinator:
                 deadline=deadline,
             )
         except ReproError:
-            # Unlock is best effort: a participant that vanished after
-            # locking will drop its locks at reconnect (release_all).
+            # Unlock is best effort: a restart clears a vanished
+            # participant's lock table (``LockManager.clear``), and the
+            # lease sweep terminates a mark left at a live one.
             pass

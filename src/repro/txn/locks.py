@@ -197,15 +197,6 @@ class LockManager:
     def is_locked(self, entity: Any) -> bool:
         return _canon(entity) in self._locks
 
-    def release_all(self, owner: str) -> int:
-        """Drop every lock held by ``owner`` (crash cleanup); returns count."""
-        keys = [k for k, (o, _) in self._locks.items() if o == owner]
-        for k in keys:
-            del self._locks[k]
-            self._deadlines.pop(k, None)
-            self._note_release(k)
-        return len(keys)
-
     def release_prefix(self, owner_prefix: str) -> int:
         """Drop every lock whose owner starts with ``owner_prefix``.
 

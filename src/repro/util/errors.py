@@ -141,10 +141,6 @@ class DuplicateKeyError(StoreError):
     """Insert with a primary key that already exists."""
 
 
-class UnknownRowError(StoreError):
-    """Primary-key lookup found nothing."""
-
-
 class QueryError(StoreError):
     """Malformed predicate or query."""
 
@@ -163,14 +159,6 @@ class LinkError(ReproError):
 
 class UnknownLinkError(LinkError):
     """Operation on a link id that is not in the link database."""
-
-
-class ConstraintNotMetError(LinkError):
-    """A negotiation constraint (and/or/xor/k-of-n) could not be satisfied."""
-
-
-class LinkExpiredError(LinkError):
-    """Operation on a link whose expiry time has passed."""
 
 
 class InvalidLinkError(LinkError):
@@ -243,10 +231,6 @@ class CalendarError(ReproError):
 
 class SlotUnavailableError(CalendarError):
     """Attempt to reserve a slot that is not free."""
-
-
-class UnknownMeetingError(CalendarError):
-    """Operation on a meeting id that does not exist."""
 
 
 class NotInitiatorError(CalendarError):

@@ -63,16 +63,6 @@ def test_unlock_wrong_owner_raises_typed_owner_error():
     assert lm.holder("slot") == "t1"  # the held lock survived the attempt
 
 
-def test_release_all():
-    lm = LockManager()
-    lm.lock("a", "t1")
-    lm.lock("b", "t1")
-    lm.lock("c", "t2")
-    assert lm.release_all("t1") == 2
-    assert lm.locked_count() == 1
-    assert lm.holder("c") == "t2"
-
-
 def test_jsonish_entity_keys_canonicalized():
     lm = LockManager()
     assert lm.try_lock({"day": 3, "hour": 9}, "t1")
