@@ -10,7 +10,9 @@ clockwise from the key's own hash.
 Design properties the tests pin down (``tests/kernel/test_ring.py``):
 
 * **deterministic** — placement is a pure function of (seed, shard set,
-  key); Python's salted ``hash()`` is never used;
+  key); Python's salted ``hash()`` is never used. Being pure, it is
+  memoized per ring membership: a key is hashed and walked once until
+  ``add_shard``/``remove_shard`` clears the memo;
 * **bounded churn** — adding a shard only moves keys *to* the new shard,
   removing one only moves keys it owned;
 * **distinct replicas** — the R owners of a key are R different shards
@@ -58,6 +60,8 @@ class HashRing:
         #: sorted ring points; ``_hashes`` is the parallel bisect index
         self._points: list[tuple[int, str]] = []
         self._hashes: list[int] = []
+        #: key -> owner tuple under the current membership
+        self._owners: dict[str, tuple[str, ...]] = {}
         for name in shards:
             self.add_shard(name)
 
@@ -81,6 +85,7 @@ class HashRing:
             index = bisect.bisect(self._points, point)
             self._points.insert(index, point)
         self._hashes = [p[0] for p in self._points]
+        self._owners.clear()
 
     def remove_shard(self, name: str) -> None:
         if name not in self._shards:
@@ -88,6 +93,7 @@ class HashRing:
         self._shards.discard(name)
         self._points = [p for p in self._points if p[1] != name]
         self._hashes = [p[0] for p in self._points]
+        self._owners.clear()
 
     def with_shard(self, name: str) -> "HashRing":
         """A copy of this ring with ``name`` added (for rebalance planning)."""
@@ -118,8 +124,18 @@ class HashRing:
         """The first ``replicas`` distinct shards clockwise from ``key``.
 
         ``owners(key)[0]`` is the primary. Returns fewer than R owners
-        only when the ring has fewer than R shards.
+        only when the ring has fewer than R shards. Each call returns a
+        fresh list.
         """
+        return list(self._owner_tuple(key))
+
+    def primary(self, key: str) -> str:
+        return self._owner_tuple(key)[0]
+
+    def _owner_tuple(self, key: str) -> tuple[str, ...]:
+        cached = self._owners.get(key)
+        if cached is not None:
+            return cached
         if not self._points:
             raise ReproError("ring has no shards")
         want = min(self.replicas, len(self._shards))
@@ -132,7 +148,5 @@ class HashRing:
                 found.append(name)
                 if len(found) == want:
                     break
-        return found
-
-    def primary(self, key: str) -> str:
-        return self.owners(key)[0]
+        owners = self._owners[key] = tuple(found)
+        return owners

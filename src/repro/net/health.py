@@ -150,9 +150,11 @@ class HealthMonitor:
         if st.last_seen is not None and len(st.intervals) >= 3:
             elapsed = self.clock.now() - st.last_seen
             mean = math.fsum(st.intervals) / len(st.intervals)
-            var = math.fsum((x - mean) ** 2 for x in st.intervals) / len(st.intervals)
-            std = max(math.sqrt(var), self.min_std)
+            # The fit's spread matters only to a late arrival, so the
+            # variance is computed only then.
             if elapsed > mean:
+                var = math.fsum((x - mean) ** 2 for x in st.intervals) / len(st.intervals)
+                std = max(math.sqrt(var), self.min_std)
                 # P(an arrival would still be pending) under N(mean, std);
                 # floored so phi stays finite.
                 p_later = 0.5 * math.erfc((elapsed - mean) / (std * math.sqrt(2.0)))

@@ -109,3 +109,62 @@ def test_ring_edge_cases():
         ring.remove_shard("s99")
     with pytest.raises(ReproError):
         HashRing(replicas=0)
+
+
+def _fresh(ring: HashRing) -> HashRing:
+    """A ring built from scratch on ``ring``'s shards and parameters."""
+    return HashRing(
+        ring.shard_names(), replicas=ring.replicas, vnodes=ring.vnodes, seed=ring.seed
+    )
+
+
+def _same_placement(ring: HashRing, keys: list[str]) -> None:
+    fresh = _fresh(ring)
+    for key in keys:
+        assert ring.owners(key) == fresh.owners(key)
+        assert ring.primary(key) == fresh.primary(key)
+
+
+def test_memoized_owners_follow_every_membership_change():
+    rng = random.Random(SEED + 5)
+    keys = _keys(300, rng)
+    ring = HashRing(["s00", "s01", "s02", "s03"], replicas=2, seed=13)
+    _same_placement(ring, keys)  # fills the memo
+    ring.add_shard("s04")
+    _same_placement(ring, keys)
+    ring.remove_shard("s01")
+    _same_placement(ring, keys)
+    # Plans are copies: they answer for their own membership, and
+    # warming them leaves the source ring's answers alone.
+    grown = ring.with_shard("s05")
+    _same_placement(grown, keys)
+    shrunk = ring.without_shard("s00")
+    _same_placement(shrunk, keys)
+    _same_placement(ring.copy(), keys)
+    _same_placement(ring, keys)
+    assert "s05" not in ring and "s00" in ring
+
+
+def test_owner_lists_are_fresh_per_call():
+    ring = HashRing(["s00", "s01", "s02"], replicas=2, seed=3)
+    first = ring.owners("u:alice")
+    expected = list(first)
+    first.append("s99")
+    first[0] = "s98"
+    assert ring.owners("u:alice") == expected
+    assert ring.owners("u:alice") is not ring.owners("u:alice")
+    assert ring.primary("u:alice") == expected[0]
+
+
+def test_memoized_owners_stay_capped_at_shard_count():
+    ring = HashRing(["s00", "s01"], replicas=5, seed=3)
+    assert sorted(ring.owners("u:alice")) == ["s00", "s01"]
+    assert sorted(ring.owners("u:alice")) == ["s00", "s01"]  # memo hit
+    ring.add_shard("s02")
+    assert sorted(ring.owners("u:alice")) == ["s00", "s01", "s02"]
+    ring.remove_shard("s00")
+    ring.remove_shard("s01")
+    assert ring.owners("u:alice") == ["s02"]
+    ring.remove_shard("s02")
+    with pytest.raises(ReproError):
+        ring.owners("u:alice")

@@ -1,6 +1,10 @@
 """Tests for the phi-accrual health monitor (gray-failure detection)."""
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.net.health import HealthMonitor
 from repro.util.clock import VirtualClock
@@ -155,3 +159,71 @@ class TestSweep:
             return monitor.snapshot()
 
         assert run() == run()
+
+
+def eager_phi(monitor, state, now):
+    """phi with the interval variance computed up front on every call."""
+    phi = 0.0
+    if state.last_seen is not None and len(state.intervals) >= 3:
+        elapsed = now - state.last_seen
+        mean = math.fsum(state.intervals) / len(state.intervals)
+        var = math.fsum((x - mean) ** 2 for x in state.intervals) / len(state.intervals)
+        std = max(math.sqrt(var), monitor.min_std)
+        if elapsed > mean:
+            p_later = 0.5 * math.erfc((elapsed - mean) / (std * math.sqrt(2.0)))
+            phi += -math.log10(max(p_later, 1e-12))
+    phi += monitor.fail_weight * state.fail_streak
+    if (
+        state.rtt_ewma is not None
+        and state.rtt_best is not None
+        and state.rtt_best > 0.0
+    ):
+        ratio = state.rtt_ewma / state.rtt_best
+        if ratio > monitor.rtt_ratio_floor:
+            phi += min(4.0, math.log2(ratio / monitor.rtt_ratio_floor + 1.0))
+    return phi
+
+
+class TestLazyVariance:
+    @given(
+        intervals=st.one_of(
+            st.lists(st.floats(min_value=1e-3, max_value=50.0), max_size=25),
+            # a near-regular rhythm, whose spread is under min_std
+            st.tuples(
+                st.floats(min_value=0.5, max_value=5.0),
+                st.lists(st.floats(min_value=0.0, max_value=0.3), max_size=25),
+            ).map(lambda beat: [beat[0] + jitter for jitter in beat[1]]),
+        ),
+        seen=st.booleans(),
+        lateness=st.one_of(
+            st.just(0.0),  # the heartbeat sweep: right after an arrival
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),  # below the mean
+            st.just(1.0),  # at the mean
+            st.floats(min_value=1.0, max_value=40.0, exclude_min=True),  # above it
+        ),
+        fail_streak=st.integers(min_value=0, max_value=6),
+        rtt_best=st.one_of(st.none(), st.just(0.0), st.floats(min_value=1e-3, max_value=2.0)),
+        rtt_ratio=st.one_of(
+            st.just(3.0),  # at the default floor
+            st.floats(min_value=1.0, max_value=3.0, exclude_max=True),
+            st.floats(min_value=3.0, max_value=50.0, exclude_min=True),
+        ),
+    )
+    def test_suspicion_equals_the_eager_formula(
+        self, intervals, seen, lateness, fail_streak, rtt_best, rtt_ratio
+    ):
+        monitor = HealthMonitor(VirtualClock(), window=25)
+        state = monitor._state("b")
+        state.intervals = list(intervals)
+        state.fail_streak = fail_streak
+        if rtt_best is not None:
+            state.rtt_best = rtt_best
+            state.rtt_ewma = rtt_best * rtt_ratio
+        if seen:
+            # last_seen is 0.0, so elapsed is exactly the clock reading.
+            state.last_seen = 0.0
+            mean = math.fsum(intervals) / len(intervals) if intervals else 1.0
+            monitor.clock.advance(mean * lateness)
+        got = monitor.suspicion("b")
+        want = eager_phi(monitor, state, monitor.clock.now())
+        assert got.hex() == want.hex()
