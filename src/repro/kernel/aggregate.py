@@ -140,13 +140,14 @@ _NESTED = (list, dict)
 
 def _hashable(value: Any) -> Any:
     """Hashable key of a JSON-like value: lists become tuples, dicts
-    sorted item tuples, recursively."""
+    frozensets of their items, recursively. A dict's key is never a
+    tuple, so it never equals the key of the list of its pairs."""
     if isinstance(value, dict):
         for item in value.values():
             if isinstance(item, _NESTED):
-                return tuple(sorted((k, _hashable(v)) for k, v in value.items()))
+                return frozenset((k, _hashable(v)) for k, v in value.items())
         # Flat dict (the free-slot entity): the same key without the walk.
-        return tuple(sorted(value.items()))
+        return frozenset(value.items())
     if isinstance(value, list):
         return tuple(_hashable(v) for v in value)
     return value

@@ -13,7 +13,7 @@ def recursive_key(value):
     if isinstance(value, list):
         return tuple(recursive_key(v) for v in value)
     if isinstance(value, dict):
-        return tuple(sorted((k, recursive_key(v)) for k, v in value.items()))
+        return frozenset((k, recursive_key(v)) for k, v in value.items())
     return value
 
 
@@ -32,7 +32,13 @@ class TestHashableKeys:
         same_key({"day": 1, "hour": 9})
         same_key({"hour": 9, "day": 1})
         same_key({})
-        assert _hashable({"day": 1, "hour": 9}) == (("day", 1), ("hour", 9))
+        assert _hashable({"day": 1, "hour": 9}) == frozenset({("day", 1), ("hour", 9)})
+
+    def test_a_dict_never_keys_like_the_list_of_its_pairs(self):
+        assert _hashable({"day": 0, "hour": 9}) != _hashable([["day", 0], ["hour", 9]])
+        assert _hashable({"day": 0, "hour": 9}) != _hashable((("day", 0), ("hour", 9)))
+        nested = {"slot": {"day": 0}, "tags": []}
+        assert _hashable(nested) != _hashable([["slot", [["day", 0]]], ["tags", []]])
 
     def test_nested_dicts_and_lists(self):
         same_key({"slot": {"day": 1, "hour": 9}, "tags": ["a", {"b": [1, 2]}]})
@@ -88,6 +94,12 @@ class TestIntersectLists:
         assert intersect_lists([ok("a", first), ok("b", [{"slot": {"day": 1}}])]) == [
             {"slot": {"day": 1}}
         ]
+
+    def test_a_dict_is_not_common_with_the_list_of_its_pairs(self):
+        dicts = [{"day": 0, "hour": 9}]
+        pairs = [[["day", 0], ["hour", 9]]]
+        assert intersect_lists([ok("a", dicts), ok("b", pairs)]) == []
+        assert intersect_lists([ok("a", pairs), ok("b", dicts)]) == []
 
     def test_any_failure_or_no_member_empties_it(self):
         failed = InvocationResult("b", False, error_type="X", error_message="down")
